@@ -1,72 +1,207 @@
+(* ---------- the shared codec: one varint writer, one reader ----------
+
+   Every byte layout in the tree — vectors here, the [synts serve]
+   request/response codec, the admin frame family — is built from these
+   primitives. Neither side allocates per value: the writer appends into
+   a growable [Bytes] with one capacity check per varint (one per vector
+   for [put_vector]), and the reader advances a mutable cursor and
+   raises on malformed input, which {!parse} turns into an [Error]. *)
+
+exception Malformed of string
+
+(* The varint reader's failure: a constant raised without a backtrace,
+   so the per-component loop carries no error-formatting call. The
+   cursor still points at the bad varint, which is what [parse]
+   reports. *)
+exception Bad_varint
+
+let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
+
+(* A non-negative OCaml int has at most 62 significant bits: 9 groups. *)
+let max_varint = 9
+
 let varint_bytes v =
-  let rec go v acc = if v < 0x80 then acc + 1 else go (v lsr 7) (acc + 1) in
-  if v < 0 then invalid_arg "Wire: negative value" else go v 0
-
-let put_varint buf v =
   if v < 0 then invalid_arg "Wire: negative value";
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
-
-(* Returns (value, next offset) or raises Exit on truncation/overflow. *)
-let get_varint s off =
-  let len = String.length s in
-  let rec go off shift acc =
-    if off >= len || shift > 56 then raise Exit
-    else begin
-      let b = Char.code s.[off] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if acc < 0 then raise Exit
-      else if b land 0x80 = 0 then (acc, off + 1)
-      else go (off + 1) (shift + 7) acc
-    end
-  in
-  go off 0 0
-
-let read_varint s off =
-  match get_varint s off with
-  | value, next -> Some (value, next)
-  | exception Exit -> None
-
-let encode v =
-  let buf = Buffer.create (Array.length v + 1) in
-  put_varint buf (Array.length v);
-  Array.iter (put_varint buf) v;
-  Buffer.contents buf
+  let n = ref 1 and v = ref (v lsr 7) in
+  while !v <> 0 do
+    incr n;
+    v := !v lsr 7
+  done;
+  !n
 
 let encoded_bytes v =
-  Array.fold_left (fun acc x -> acc + varint_bytes x) (varint_bytes (Array.length v)) v
+  let total = ref (varint_bytes (Array.length v)) in
+  for i = 0 to Array.length v - 1 do
+    total := !total + varint_bytes (Array.unsafe_get v i)
+  done;
+  !total
 
-let decode s =
-  match
-    let count, off = get_varint s 0 in
-    if count > String.length s then raise Exit;
-    let v = Array.make count 0 in
-    let off = ref off in
-    for i = 0 to count - 1 do
-      let x, next = get_varint s !off in
-      v.(i) <- x;
-      off := next
-    done;
-    if !off <> String.length s then Error "trailing bytes" else Ok v
-  with
-  | result -> result
-  | exception Exit -> Error "truncated or malformed varint"
+(* The one varint writer: LEB128 at [pos], returning the next position.
+   Callers guarantee room for [varint_bytes v] bytes. *)
+let set_varint buf pos v =
+  if v < 0 then invalid_arg "Wire: negative value";
+  let pos = ref pos and v = ref v in
+  while !v >= 0x80 do
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr (!v land 0x7f lor 0x80));
+    incr pos;
+    v := !v lsr 7
+  done;
+  Bytes.unsafe_set buf !pos (Char.unsafe_chr !v);
+  !pos + 1
+
+let set_vector buf pos v =
+  let pos = ref (set_varint buf pos (Array.length v)) in
+  for i = 0 to Array.length v - 1 do
+    pos := set_varint buf !pos (Array.unsafe_get v i)
+  done;
+  !pos
+
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+let writer capacity = { buf = Bytes.create capacity; len = 0 }
+
+let reserve w need =
+  if w.len + need > Bytes.length w.buf then begin
+    let buf = Bytes.create (max (w.len + need) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
+  end
+
+let put_byte w b =
+  reserve w 1;
+  Bytes.set w.buf w.len (Char.chr b);
+  w.len <- w.len + 1
+
+let put_bool w b = put_byte w (if b then 1 else 0)
+
+let put_varint w v =
+  if w.len + max_varint > Bytes.length w.buf then reserve w (varint_bytes v);
+  w.len <- set_varint w.buf w.len v
+
+let put_vector w v =
+  if w.len + (max_varint * (Array.length v + 1)) > Bytes.length w.buf then
+    reserve w (encoded_bytes v);
+  w.len <- set_vector w.buf w.len v
+
+let put_string w s =
+  let n = String.length s in
+  put_varint w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+(* Doubles travel as their IEEE bits, big-endian — 8 bytes, no textual
+   round-trip, so they survive the wire bit-exactly. *)
+let put_f64 w f =
+  reserve w 8;
+  Bytes.set_int64_be w.buf w.len (Int64.bits_of_float f);
+  w.len <- w.len + 8
+
+let contents w = Bytes.sub_string w.buf 0 w.len
+
+type reader = { src : string; mutable pos : int }
+
+let get_byte r =
+  if r.pos >= String.length r.src then
+    malformed "truncated message at byte %d" r.pos;
+  let b = Char.code (String.unsafe_get r.src r.pos) in
+  r.pos <- r.pos + 1;
+  b
+
+let get_bool r =
+  match get_byte r with
+  | 0 -> false
+  | 1 -> true
+  | b -> malformed "bad boolean byte %d at byte %d" b (r.pos - 1)
+
+(* The one varint reader. Truncation, overflow past 62 bits and
+   non-canonical (overlong) encodings all fail: only the shortest
+   encoding is accepted, so a decoded message re-encodes to exactly the
+   bytes it came from. *)
+let get_varint r =
+  let s = r.src and start = r.pos in
+  let len = String.length s in
+  let pos = ref start and shift = ref 0 and acc = ref 0 and b = ref 0x80 in
+  while !b >= 0x80 do
+    if !pos >= len || !shift > 56 then raise_notrace Bad_varint;
+    b := Char.code (String.unsafe_get s !pos);
+    incr pos;
+    acc := !acc lor ((!b land 0x7f) lsl !shift);
+    shift := !shift + 7
+  done;
+  if !acc < 0 || (!b = 0 && !pos - start > 1) then raise_notrace Bad_varint;
+  r.pos <- !pos;
+  !acc
+
+(* Every counted item takes at least one byte, so a count larger than
+   the bytes left is malformed — checked before anything is allocated. *)
+let get_count r =
+  let n = get_varint r in
+  if n > String.length r.src - r.pos then
+    malformed "count %d exceeds the %d bytes left" n
+      (String.length r.src - r.pos);
+  n
+
+let get_string r =
+  let n = get_varint r in
+  if n > String.length r.src - r.pos then
+    malformed "truncated string at byte %d" r.pos;
+  let s = String.sub r.src r.pos n in
+  r.pos <- r.pos + n;
+  s
+
+let get_vector r =
+  let n = get_count r in
+  let v = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set v i (get_varint r)
+  done;
+  v
+
+let get_f64 r =
+  if 8 > String.length r.src - r.pos then
+    malformed "truncated float at byte %d" r.pos;
+  let f = Int64.float_of_bits (String.get_int64_be r.src r.pos) in
+  r.pos <- r.pos + 8;
+  f
+
+let parse s f =
+  let r = { src = s; pos = 0 } in
+  match f r with
+  | x ->
+      let left = String.length s - r.pos in
+      if left = 0 then Ok x else Error (Printf.sprintf "%d trailing bytes" left)
+  | exception Malformed e -> Error e
+  | exception Bad_varint ->
+      Error (Printf.sprintf "malformed varint at byte %d" r.pos)
+
+(* ---------- vectors ---------- *)
+
+let encode v =
+  let buf = Bytes.create (encoded_bytes v) in
+  ignore (set_vector buf 0 v : int);
+  Bytes.unsafe_to_string buf
+
+let decode s = parse s get_vector
 
 (* FNV-1a, 32-bit. One pass, no allocation; any single-bit flip of the
    payload changes the digest (xor-then-multiply never cancels a lone
-   flipped bit), which is the property the rendezvous layer relies on. *)
-let checksum s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    s;
-  !h
+   flipped bit), which is the property the rendezvous layer relies on.
+   The low 32 bits of each step depend only on the low 32 bits of the
+   previous one, so masking once at the end gives the same digest as
+   masking every step. [Int64] keeps the hash untagged in a register,
+   which takes the tag fix-ups off the serial xor-multiply chain. *)
+let checksum_sub s off len =
+  let h = ref 0x811c9dc5L in
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x01000193L
+  done;
+  Int64.to_int !h land 0xffffffff
+
+let checksum s = checksum_sub s 0 (String.length s)
 
 (* ---------- checksum framing, versioned ----------
 
@@ -83,23 +218,32 @@ let magic = '\xD7'
 let current_version = 1
 
 let frame ?(version = current_version) body =
-  let buf = Buffer.create (String.length body + 7) in
-  (match version with
-  | 0 -> ()
-  | 1 ->
-      Buffer.add_char buf magic;
-      Buffer.add_char buf (Char.chr current_version)
-  | v -> invalid_arg (Printf.sprintf "Wire.frame: unknown version %d" v));
-  put_varint buf (checksum body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  let header =
+    match version with
+    | 0 -> 0
+    | 1 -> 2
+    | v -> invalid_arg (Printf.sprintf "Wire.frame: unknown version %d" v)
+  in
+  let digest = checksum body and len = String.length body in
+  let out = Bytes.create (header + varint_bytes digest + len) in
+  if header = 2 then begin
+    Bytes.set out 0 magic;
+    Bytes.set out 1 (Char.chr current_version)
+  end;
+  let pos = set_varint out header digest in
+  Bytes.blit_string body 0 out pos len;
+  Bytes.unsafe_to_string out
 
-let unframe_v0 s =
-  match get_varint s 0 with
-  | exception Exit -> Error "truncated checksum frame"
-  | expected, off ->
-      let body = String.sub s off (String.length s - off) in
-      if checksum body <> expected then Error "checksum mismatch" else Ok body
+(* The checksum varint at [off], verified against the rest of [s] in
+   place; only a matching body is copied out. *)
+let checked_body s off =
+  let r = { src = s; pos = off } in
+  match get_varint r with
+  | exception Bad_varint -> Error "truncated checksum frame"
+  | expected ->
+      let len = String.length s - r.pos in
+      if checksum_sub s r.pos len <> expected then Error "checksum mismatch"
+      else Ok (String.sub s r.pos len)
 
 let unframe s =
   if String.length s >= 2 && s.[0] = magic then begin
@@ -110,22 +254,16 @@ let unframe s =
           (Printf.sprintf
              "unsupported wire version %d (this build speaks 0 and %d)" version
              current_version)
-      else
-        match get_varint s 2 with
-        | exception Exit -> Error "truncated checksum frame"
-        | expected, off ->
-            let body = String.sub s off (String.length s - off) in
-            if checksum body <> expected then Error "checksum mismatch"
-            else Ok body
+      else checked_body s 2
     in
     match versioned with
     | Ok _ as ok -> ok
     | Error _ as e -> (
         (* The magic byte may be a coincidence in a v0 frame; only if the
            legacy parse also fails do we surface the versioned error. *)
-        match unframe_v0 s with Ok _ as ok -> ok | Error _ -> e)
+        match checked_body s 0 with Ok _ as ok -> ok | Error _ -> e)
   end
-  else unframe_v0 s
+  else checked_body s 0
 
 let frame_version s =
   if String.length s >= 2 && s.[0] = magic then Char.code s.[1] else 0
@@ -143,19 +281,14 @@ let decode_framed s = Result.bind (unframe s) decode
 
 let encode_epoch ~epoch v =
   if epoch < 0 then invalid_arg "Wire.encode_epoch: negative epoch";
-  let buf = Buffer.create (Array.length v + 2) in
-  put_varint buf epoch;
-  put_varint buf (Array.length v);
-  Array.iter (put_varint buf) v;
-  Buffer.contents buf
+  let buf = Bytes.create (varint_bytes epoch + encoded_bytes v) in
+  ignore (set_vector buf (set_varint buf 0 epoch) v : int);
+  Bytes.unsafe_to_string buf
 
 let decode_epoch s =
-  match get_varint s 0 with
-  | exception Exit -> Error "truncated epoch tag"
-  | epoch, off ->
-      Result.map
-        (fun v -> (epoch, v))
-        (decode (String.sub s off (String.length s - off)))
+  parse s (fun r ->
+      let epoch = get_varint r in
+      (epoch, get_vector r))
 
 let encode_epoch_framed ?version ~epoch v = frame ?version (encode_epoch ~epoch v)
 let decode_epoch_framed s = Result.bind (unframe s) decode_epoch
@@ -163,31 +296,33 @@ let decode_epoch_framed s = Result.bind (unframe s) decode_epoch
 let encode_diff ~prev v =
   if Array.length prev <> Array.length v then
     invalid_arg "Wire.encode_diff: size mismatch";
-  let changed = ref [] in
-  Array.iteri (fun i x -> if x <> prev.(i) then changed := (i, x) :: !changed) v;
-  let changed = List.rev !changed in
-  let buf = Buffer.create 16 in
-  put_varint buf (List.length changed);
-  List.iter
-    (fun (i, x) ->
-      put_varint buf i;
-      put_varint buf x)
-    changed;
-  Buffer.contents buf
+  let changed = ref 0 in
+  for i = 0 to Array.length v - 1 do
+    if v.(i) <> prev.(i) then incr changed
+  done;
+  let w = writer (max_varint * ((2 * !changed) + 1)) in
+  put_varint w !changed;
+  for i = 0 to Array.length v - 1 do
+    if v.(i) <> prev.(i) then begin
+      put_varint w i;
+      put_varint w v.(i)
+    end
+  done;
+  contents w
 
+(* Indices must be strictly increasing, as [encode_diff] emits them. An
+   entry equal to [prev] is accepted: the receiver's previous vector need
+   not be the one the sender diffed against. *)
 let decode_diff ~prev s =
-  match
-    let count, off = get_varint s 0 in
-    let v = Array.copy prev in
-    let off = ref off in
-    for _ = 1 to count do
-      let i, next = get_varint s !off in
-      let x, next = get_varint s next in
-      if i >= Array.length v then raise Exit;
-      v.(i) <- x;
-      off := next
-    done;
-    if !off <> String.length s then Error "trailing bytes" else Ok v
-  with
-  | result -> result
-  | exception Exit -> Error "truncated or malformed diff"
+  parse s (fun r ->
+      let count = get_count r in
+      let v = Array.copy prev in
+      let last = ref (-1) in
+      for _ = 1 to count do
+        let i = get_varint r in
+        if i <= !last || i >= Array.length v then
+          malformed "diff index %d out of order or range" i;
+        v.(i) <- get_varint r;
+        last := i
+      done;
+      v)

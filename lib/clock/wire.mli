@@ -7,24 +7,79 @@
     Singhal–Kshemkalyani transmission: only [(index, value)] pairs that
     changed since the peer last saw the vector. *)
 
-val put_varint : Buffer.t -> int -> unit
-(** Append one LEB128 varint (non-negative; raises [Invalid_argument]
-    otherwise). Exposed so higher protocols — the [synts serve] message
-    codec — share one integer encoding. *)
+(** {1 The shared codec}
+
+    One varint writer and one varint reader, shared by every byte layout
+    in the tree: vectors here, the [synts serve] request/response codec
+    and the admin frame family. Integers are LEB128 varints
+    (non-negative; writers raise [Invalid_argument] otherwise), strings
+    are length-prefixed, booleans are one [0]/[1] byte and doubles are
+    their IEEE bits in 8 big-endian bytes. Neither side allocates per
+    value. *)
+
+val malformed : ('a, unit, string, 'b) format4 -> 'a
+(** [malformed fmt ...] rejects the message being parsed with a
+    formatted reason — how message codecs refuse an unknown tag. It
+    raises an exception private to this module, which {!parse} turns
+    into an [Error]. *)
 
 val varint_bytes : int -> int
 (** Encoded size of one varint, without building it. *)
 
-val read_varint : string -> int -> (int * int) option
-(** [read_varint s off] is [Some (value, next_offset)], or [None] on
-    truncation / overflow past 63 bits. *)
+type writer
+(** An append-only byte buffer that grows as needed. *)
+
+val writer : int -> writer
+(** [writer capacity] starts empty with room for [capacity] bytes. *)
+
+val put_byte : writer -> int -> unit
+val put_bool : writer -> bool -> unit
+val put_varint : writer -> int -> unit
+
+val put_vector : writer -> Vector.t -> unit
+(** The {!encode} layout: component count, then the components. *)
+
+val put_string : writer -> string -> unit
+(** Varint length, then the bytes. *)
+
+val put_f64 : writer -> float -> unit
+
+val contents : writer -> string
+(** A copy of the bytes written so far. *)
+
+type reader
+(** A cursor over one message. *)
+
+val get_byte : reader -> int
+val get_bool : reader -> bool
+
+(** Readers advance the cursor and fail, like {!malformed}, on
+    truncated or malformed input: call them only inside {!parse}. *)
+
+val get_varint : reader -> int
+(** Only the canonical (shortest) encoding is accepted; truncation,
+    overflow past 62 bits and overlong encodings fail. *)
+
+val get_count : reader -> int
+(** A varint that counts the items that follow, each at least one byte
+    long: one larger than the bytes left fails, so a decoder can
+    allocate for it safely. *)
+
+val get_vector : reader -> Vector.t
+val get_string : reader -> string
+val get_f64 : reader -> float
+
+val parse : string -> (reader -> 'a) -> ('a, string) result
+(** [parse s f] runs [f] over the whole of [s]: [Error] when a reader
+    or {!malformed} fails, or bytes are left over. Never raises
+    otherwise, as long as [f] raises nothing else. *)
 
 val encode : Vector.t -> string
 (** Length-prefixed varint encoding. *)
 
 val decode : string -> (Vector.t, string) result
-(** Inverse of {!encode}; descriptive errors on truncated or trailing
-    input. *)
+(** Inverse of {!encode}; descriptive errors on truncated, trailing or
+    non-canonical input. *)
 
 val encoded_bytes : Vector.t -> int
 (** [String.length (encode v)] without building the string. *)
@@ -97,4 +152,6 @@ val encode_diff : prev:Vector.t -> Vector.t -> string
     then (index, value) varint pairs). Sizes must match. *)
 
 val decode_diff : prev:Vector.t -> string -> (Vector.t, string) result
-(** Apply a sparse diff to the previously known vector (fresh copy). *)
+(** Apply a sparse diff to the previously known vector (fresh copy).
+    Indices must be in range and strictly increasing, as {!encode_diff}
+    emits them. *)

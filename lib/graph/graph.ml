@@ -1,7 +1,18 @@
 module ISet = Set.Make (Int)
 
-type t = { adj : ISet.t array; m : int }
+(* Each vertex carries its degree beside its neighbour set:
+   [ISet.cardinal] is O(degree), and the decomposition heuristics ask for
+   degrees on every edge of every pass. Keeping both in one record keeps
+   an update at one array copy. *)
+type vertex = { nbrs : ISet.t; deg : int }
+type t = { adj : vertex array; m : int }
 type edge = int * int
+
+let isolated = { nbrs = ISet.empty; deg = 0 }
+
+(* [link]/[unlink] assume [u] is absent from / present in [x]. *)
+let link x u = { nbrs = ISet.add u x.nbrs; deg = x.deg + 1 }
+let unlink x u = { nbrs = ISet.remove u x.nbrs; deg = x.deg - 1 }
 
 let normalize_edge u v =
   if u = v then invalid_arg "Graph: self-loop"
@@ -10,7 +21,7 @@ let normalize_edge u v =
 
 let empty n =
   if n < 0 then invalid_arg "Graph.empty: negative vertex count";
-  { adj = Array.make n ISet.empty; m = 0 }
+  { adj = Array.make n isolated; m = 0 }
 
 let n g = Array.length g.adj
 let m g = g.m
@@ -21,56 +32,73 @@ let check_vertex g v =
 let has_edge g u v =
   check_vertex g u;
   check_vertex g v;
-  u <> v && ISet.mem v g.adj.(u)
+  u <> v && ISet.mem v g.adj.(u).nbrs
 
-let add_edge g u v =
+(* Validate, normalise and link both ends of [u]-[v] in [g]'s array,
+   in place; false when the edge was already present. *)
+let insert g u v =
   check_vertex g u;
   check_vertex g v;
   let u, v = normalize_edge u v in
-  if ISet.mem v g.adj.(u) then g
+  if ISet.mem v g.adj.(u).nbrs then false
   else begin
-    let adj = Array.copy g.adj in
-    adj.(u) <- ISet.add v adj.(u);
-    adj.(v) <- ISet.add u adj.(v);
-    { adj; m = g.m + 1 }
+    g.adj.(u) <- link g.adj.(u) v;
+    g.adj.(v) <- link g.adj.(v) u;
+    true
+  end
+
+let add_edge g u v =
+  if has_edge g u v then g
+  else begin
+    let g' = { adj = Array.copy g.adj; m = g.m + 1 } in
+    ignore (insert g' u v : bool);
+    g'
   end
 
 let remove_edge g u v =
   check_vertex g u;
   check_vertex g v;
-  if u = v || not (ISet.mem v g.adj.(u)) then g
+  if u = v || not (ISet.mem v g.adj.(u).nbrs) then g
   else begin
     let adj = Array.copy g.adj in
-    adj.(u) <- ISet.remove v adj.(u);
-    adj.(v) <- ISet.remove u adj.(v);
+    adj.(u) <- unlink adj.(u) v;
+    adj.(v) <- unlink adj.(v) u;
     { adj; m = g.m - 1 }
   end
 
 let remove_vertex_edges g v =
   check_vertex g v;
-  let removed = ISet.cardinal g.adj.(v) in
+  let removed = g.adj.(v).deg in
   if removed = 0 then g
   else begin
     let adj = Array.copy g.adj in
-    ISet.iter (fun u -> adj.(u) <- ISet.remove v adj.(u)) adj.(v);
-    adj.(v) <- ISet.empty;
+    ISet.iter (fun u -> adj.(u) <- unlink adj.(u) v) adj.(v).nbrs;
+    adj.(v) <- isolated;
     { adj; m = g.m - removed }
   end
 
+(* Built in place on a fresh array: folding [add_edge] would copy it
+   once per edge. *)
 let of_edges count edge_list =
-  List.fold_left (fun g (u, v) -> add_edge g u v) (empty count) edge_list
+  let g = empty count in
+  let m =
+    List.fold_left
+      (fun m (u, v) -> if insert g u v then m + 1 else m)
+      0 edge_list
+  in
+  { g with m }
 
 let degree g v =
   check_vertex g v;
-  ISet.cardinal g.adj.(v)
+  g.adj.(v).deg
 
 let neighbors g v =
   check_vertex g v;
-  ISet.elements g.adj.(v)
+  ISet.elements g.adj.(v).nbrs
 
 let iter_edges f g =
   Array.iteri
-    (fun u s -> ISet.iter (fun v -> if u < v then f u v) s)
+    (fun u x -> ISet.iter (fun v -> if u < v then f u v) x.nbrs)
     g.adj
 
 let edges g =
@@ -84,7 +112,7 @@ let adjacent_edge_count g (u, v) =
   if not (has_edge g u v) then invalid_arg "Graph.adjacent_edge_count: no such edge";
   degree g u + degree g v - 2
 
-let max_degree g = Array.fold_left (fun acc s -> max acc (ISet.cardinal s)) 0 g.adj
+let max_degree g = Array.fold_left (fun acc x -> max acc x.deg) 0 g.adj
 
 let connected_components g =
   let seen = Array.make (n g) false in
@@ -104,7 +132,7 @@ let connected_components g =
               seen.(w) <- true;
               Stack.push w stack
             end)
-          g.adj.(u)
+          g.adj.(u).nbrs
       done;
       comps := List.sort compare !comp :: !comps
     end
@@ -156,7 +184,7 @@ let is_triangle g = Option.is_some (triangle_of g)
 let find_triangle_through g u v =
   check_vertex g u;
   check_vertex g v;
-  ISet.elements (ISet.inter g.adj.(u) g.adj.(v))
+  ISet.elements (ISet.inter g.adj.(u).nbrs g.adj.(v).nbrs)
 
 let equal a b = n a = n b && edges a = edges b
 

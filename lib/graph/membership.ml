@@ -366,6 +366,13 @@ let validate t d =
   match d with
   | Join { proc; edges } ->
       if proc < 0 then Error "join: negative process id"
+      else if proc > n then
+        (* Fresh ids are handed out in order, so a join grows the vertex
+           universe by at most one — a wire-supplied id cannot make
+           [grow_universe] allocate for a huge one. *)
+        Error
+          (Printf.sprintf "join: process %d skips ids (the next fresh id is %d)"
+             proc n)
       else if is_active t proc then
         Error (Printf.sprintf "join: process %d is already active" proc)
       else

@@ -39,9 +39,11 @@ type delta =
   | Join of { proc : int; edges : (int * int) list }
       (** Activate [proc] (growing the vertex set when [proc] is fresh)
           and add [edges], each incident to [proc] with an already
-          active peer. Rejoining a previously left process keeps its
-          identity — vertex slots are never reused for a different
-          process, which is what keeps frozen components sound. *)
+          active peer. A fresh [proc] must be the next unused id,
+          {!processes}: ids are never skipped. Rejoining a previously
+          left process keeps its identity — vertex slots are never
+          reused for a different process, which is what keeps frozen
+          components sound. *)
   | Leave of int
       (** Drop every channel of the process and deactivate it. *)
   | Add_edge of int * int

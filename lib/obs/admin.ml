@@ -62,258 +62,189 @@ type response =
 let family_magic = '\xAD'
 let current_version = 1
 
-exception Fail of string
+let put_header w =
+  Wire.put_byte w (Char.code family_magic);
+  Wire.put_byte w current_version
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
-
-let varint s off =
-  match Wire.read_varint s off with
-  | Some (v, off') -> (v, off')
-  | None -> fail "truncated varint at byte %d" off
-
-let byte s off =
-  if off >= String.length s then fail "truncated admin message at byte %d" off
-  else (Char.code s.[off], off + 1)
-
-let put_string buf s =
-  Wire.put_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let get_string s off =
-  let len, off = varint s off in
-  if off + len > String.length s then fail "truncated string at byte %d" off
-  else (String.sub s off len, off + len)
-
-(* Doubles travel as their IEEE bits, big-endian — 8 bytes, no textual
-   round-trip, so quantiles survive the wire bit-exactly. *)
-let put_f64 buf f =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 (Int64.bits_of_float f);
-  Buffer.add_bytes buf b
-
-let get_f64 s off =
-  if off + 8 > String.length s then fail "truncated float at byte %d" off
-  else
-    (Int64.float_of_bits (String.get_int64_be s off), off + 8)
-
-let finish_at s off what =
-  if off <> String.length s then
-    fail "%s: %d trailing bytes" what (String.length s - off)
-
-let header buf =
-  Buffer.add_char buf family_magic;
-  Buffer.add_char buf (Char.chr current_version)
-
-let check_header what s =
-  if String.length s < 2 then fail "truncated %s header" what;
-  if s.[0] <> family_magic then
-    fail "not an admin-family message (magic 0x%02x)" (Char.code s.[0]);
-  let version = Char.code s.[1] in
+let get_header what r =
+  let magic = Wire.get_byte r in
+  if magic <> Char.code family_magic then
+    Wire.malformed "not an admin-family %s (magic 0x%02x)" what magic;
+  let version = Wire.get_byte r in
   if version <> current_version then
-    fail "unsupported admin version %d (this build speaks %d)" version
-      current_version;
-  2
+    Wire.malformed "unsupported admin version %d (this build speaks %d)"
+      version current_version
 
 (* {2 Requests} *)
 
 let encode_request r =
-  let buf = Buffer.create 8 in
-  header buf;
+  let w = Wire.writer 4 in
+  put_header w;
   (match r with
-  | Health -> Buffer.add_char buf '\x00'
+  | Health -> Wire.put_byte w 0
   | Metrics fmt ->
-      Buffer.add_char buf '\x01';
-      Buffer.add_char buf (match fmt with Prom -> '\x00' | Json -> '\x01')
-  | Stats -> Buffer.add_char buf '\x02'
-  | Tracedump -> Buffer.add_char buf '\x03');
-  Buffer.contents buf
+      Wire.put_byte w 1;
+      Wire.put_byte w (match fmt with Prom -> 0 | Json -> 1)
+  | Stats -> Wire.put_byte w 2
+  | Tracedump -> Wire.put_byte w 3);
+  Wire.contents w
 
-let decode_request s =
-  try
-    let off = check_header "request" s in
-    let tag, off = byte s off in
-    match tag with
-    | 0 ->
-        finish_at s off "Health";
-        Ok Health
-    | 1 ->
-        let fmt, off = byte s off in
-        let fmt =
-          match fmt with
-          | 0 -> Prom
-          | 1 -> Json
-          | f -> fail "unknown metrics format %d" f
-        in
-        finish_at s off "Metrics";
-        Ok (Metrics fmt)
-    | 2 ->
-        finish_at s off "Stats";
-        Ok Stats
-    | 3 ->
-        finish_at s off "Tracedump";
-        Ok Tracedump
-    | t -> fail "unknown admin request tag %d" t
-  with Fail e -> Error e
+let get_request r =
+  get_header "request" r;
+  match Wire.get_byte r with
+  | 0 -> Health
+  | 1 -> (
+      match Wire.get_byte r with
+      | 0 -> Metrics Prom
+      | 1 -> Metrics Json
+      | f -> Wire.malformed "unknown metrics format %d" f)
+  | 2 -> Stats
+  | 3 -> Tracedump
+  | t -> Wire.malformed "unknown admin request tag %d" t
+
+let decode_request s = Wire.parse s get_request
 
 (* {2 Responses} *)
 
 let encode_response r =
-  let buf = Buffer.create 128 in
-  header buf;
+  let w = Wire.writer 128 in
+  put_header w;
   (match r with
   | Health_r { ok; backend; processes; dimension; shards } ->
-      Buffer.add_char buf '\x00';
-      Buffer.add_char buf (if ok then '\x01' else '\x00');
-      put_string buf backend;
-      Wire.put_varint buf processes;
-      Wire.put_varint buf dimension;
-      Wire.put_varint buf shards
+      Wire.put_byte w 0;
+      Wire.put_bool w ok;
+      Wire.put_string w backend;
+      Wire.put_varint w processes;
+      Wire.put_varint w dimension;
+      Wire.put_varint w shards
   | Metrics_r body ->
-      Buffer.add_char buf '\x01';
-      put_string buf body
+      Wire.put_byte w 1;
+      Wire.put_string w body
   | Stats_r st ->
-      Buffer.add_char buf '\x02';
-      put_string buf st.backend;
-      Wire.put_varint buf st.clients;
-      Wire.put_varint buf st.batches;
-      Wire.put_varint buf st.messages;
-      Wire.put_varint buf st.internal;
-      Wire.put_varint buf st.dedup_hits;
-      Wire.put_varint buf st.errors;
-      Wire.put_varint buf st.dropped;
-      Wire.put_varint buf st.pending;
-      put_f64 buf st.p50_ms;
-      put_f64 buf st.p90_ms;
-      put_f64 buf st.p99_ms;
-      Wire.put_varint buf (List.length st.shards);
+      Wire.put_byte w 2;
+      Wire.put_string w st.backend;
+      Wire.put_varint w st.clients;
+      Wire.put_varint w st.batches;
+      Wire.put_varint w st.messages;
+      Wire.put_varint w st.internal;
+      Wire.put_varint w st.dedup_hits;
+      Wire.put_varint w st.errors;
+      Wire.put_varint w st.dropped;
+      Wire.put_varint w st.pending;
+      Wire.put_f64 w st.p50_ms;
+      Wire.put_f64 w st.p90_ms;
+      Wire.put_f64 w st.p99_ms;
+      Wire.put_varint w (List.length st.shards);
       List.iter
         (fun { shard; s_events; s_cells; s_messages } ->
-          Wire.put_varint buf shard;
-          Wire.put_varint buf s_events;
-          Wire.put_varint buf s_cells;
-          Wire.put_varint buf s_messages)
+          Wire.put_varint w shard;
+          Wire.put_varint w s_events;
+          Wire.put_varint w s_cells;
+          Wire.put_varint w s_messages)
         st.shards;
-      Wire.put_varint buf (List.length st.conns);
+      Wire.put_varint w (List.length st.conns);
       List.iter
         (fun { conn; events_in; stamps_out; dedup_hits; last_seq } ->
-          Wire.put_varint buf conn;
-          Wire.put_varint buf events_in;
-          Wire.put_varint buf stamps_out;
-          Wire.put_varint buf dedup_hits;
+          Wire.put_varint w conn;
+          Wire.put_varint w events_in;
+          Wire.put_varint w stamps_out;
+          Wire.put_varint w dedup_hits;
           (* last_seq starts at -1 (nothing observed yet): shift by one
              so it stays in varint range. *)
-          Wire.put_varint buf (last_seq + 1))
+          Wire.put_varint w (last_seq + 1))
         st.conns;
       (match st.stream with
-      | None -> Buffer.add_char buf '\x00'
+      | None -> Wire.put_byte w 0
       | Some { chains; live; retired; width; exact; repairs } ->
-          Buffer.add_char buf '\x01';
-          Wire.put_varint buf chains;
-          Wire.put_varint buf live;
-          Wire.put_varint buf retired;
-          Wire.put_varint buf width;
-          Buffer.add_char buf (if exact then '\x01' else '\x00');
-          Wire.put_varint buf repairs)
+          Wire.put_byte w 1;
+          Wire.put_varint w chains;
+          Wire.put_varint w live;
+          Wire.put_varint w retired;
+          Wire.put_varint w width;
+          Wire.put_bool w exact;
+          Wire.put_varint w repairs)
   | Tracedump_r { dropped; spans; jsonl } ->
-      Buffer.add_char buf '\x03';
-      Wire.put_varint buf dropped;
-      Wire.put_varint buf spans;
-      put_string buf jsonl
+      Wire.put_byte w 3;
+      Wire.put_varint w dropped;
+      Wire.put_varint w spans;
+      Wire.put_string w jsonl
   | Error_r msg ->
-      Buffer.add_char buf '\x04';
-      put_string buf msg);
-  Buffer.contents buf
+      Wire.put_byte w 4;
+      Wire.put_string w msg);
+  Wire.contents w
 
-let decode_response s =
-  try
-    let off = check_header "response" s in
-    let tag, off = byte s off in
-    match tag with
-    | 0 ->
-        let ok, off = byte s off in
-        let backend, off = get_string s off in
-        let processes, off = varint s off in
-        let dimension, off = varint s off in
-        let shards, off = varint s off in
-        finish_at s off "Health_r";
-        Ok (Health_r { ok = ok <> 0; backend; processes; dimension; shards })
-    | 1 ->
-        let body, off = get_string s off in
-        finish_at s off "Metrics_r";
-        Ok (Metrics_r body)
-    | 2 ->
-        let backend, off = get_string s off in
-        let clients, off = varint s off in
-        let batches, off = varint s off in
-        let messages, off = varint s off in
-        let internal, off = varint s off in
-        let dedup_hits, off = varint s off in
-        let errors, off = varint s off in
-        let dropped, off = varint s off in
-        let pending, off = varint s off in
-        let p50_ms, off = get_f64 s off in
-        let p90_ms, off = get_f64 s off in
-        let p99_ms, off = get_f64 s off in
-        let nshards, off = varint s off in
-        let off = ref off in
-        let shards =
-          List.init nshards (fun _ ->
-              let shard, o = varint s !off in
-              let s_events, o = varint s o in
-              let s_cells, o = varint s o in
-              let s_messages, o = varint s o in
-              off := o;
-              { shard; s_events; s_cells; s_messages })
-        in
-        let nconns, o = varint s !off in
-        off := o;
-        let conns =
-          List.init nconns (fun _ ->
-              let conn, o = varint s !off in
-              let events_in, o = varint s o in
-              let stamps_out, o = varint s o in
-              let dedup_hits, o = varint s o in
-              let last_seq, o = varint s o in
-              off := o;
-              { conn; events_in; stamps_out; dedup_hits;
-                last_seq = last_seq - 1 })
-        in
-        let flag, o = byte s !off in
-        let stream, o =
-          match flag with
-          | 0 -> (None, o)
-          | 1 ->
-              let chains, o = varint s o in
-              let live, o = varint s o in
-              let retired, o = varint s o in
-              let width, o = varint s o in
-              let exact, o = byte s o in
-              let repairs, o = varint s o in
-              ( Some
-                  { chains; live; retired; width; exact = exact <> 0; repairs },
-                o )
-          | f -> fail "unknown stream flag %d" f
-        in
-        finish_at s o "Stats_r";
-        Ok
-          (Stats_r
-             {
-               backend; clients; batches; messages; internal; dedup_hits;
-               errors; dropped; pending; p50_ms; p90_ms; p99_ms; shards;
-               conns; stream;
-             })
-    | 3 ->
-        let dropped, off = varint s off in
-        let spans, off = varint s off in
-        let jsonl, off = get_string s off in
-        finish_at s off "Tracedump_r";
-        Ok (Tracedump_r { dropped; spans; jsonl })
-    | 4 ->
-        let msg, off = get_string s off in
-        finish_at s off "Error_r";
-        Ok (Error_r msg)
-    | t -> fail "unknown admin response tag %d" t
-  with Fail e -> Error e
+let get_shard_stat r =
+  let shard = Wire.get_varint r in
+  let s_events = Wire.get_varint r in
+  let s_cells = Wire.get_varint r in
+  let s_messages = Wire.get_varint r in
+  { shard; s_events; s_cells; s_messages }
+
+let get_conn_stat r =
+  let conn = Wire.get_varint r in
+  let events_in = Wire.get_varint r in
+  let stamps_out = Wire.get_varint r in
+  let dedup_hits = Wire.get_varint r in
+  let last_seq = Wire.get_varint r - 1 in
+  { conn; events_in; stamps_out; dedup_hits; last_seq }
+
+let get_stream_stat r =
+  match Wire.get_byte r with
+  | 0 -> None
+  | 1 ->
+      let chains = Wire.get_varint r in
+      let live = Wire.get_varint r in
+      let retired = Wire.get_varint r in
+      let width = Wire.get_varint r in
+      let exact = Wire.get_bool r in
+      let repairs = Wire.get_varint r in
+      Some { chains; live; retired; width; exact; repairs }
+  | f -> Wire.malformed "unknown stream flag %d" f
+
+let get_stats r =
+  let backend = Wire.get_string r in
+  let clients = Wire.get_varint r in
+  let batches = Wire.get_varint r in
+  let messages = Wire.get_varint r in
+  let internal = Wire.get_varint r in
+  let dedup_hits = Wire.get_varint r in
+  let errors = Wire.get_varint r in
+  let dropped = Wire.get_varint r in
+  let pending = Wire.get_varint r in
+  let p50_ms = Wire.get_f64 r in
+  let p90_ms = Wire.get_f64 r in
+  let p99_ms = Wire.get_f64 r in
+  let nshards = Wire.get_count r in
+  let shards = List.init nshards (fun _ -> get_shard_stat r) in
+  let nconns = Wire.get_count r in
+  let conns = List.init nconns (fun _ -> get_conn_stat r) in
+  let stream = get_stream_stat r in
+  {
+    backend; clients; batches; messages; internal; dedup_hits; errors;
+    dropped; pending; p50_ms; p90_ms; p99_ms; shards; conns; stream;
+  }
+
+let get_response r =
+  get_header "response" r;
+  match Wire.get_byte r with
+  | 0 ->
+      let ok = Wire.get_bool r in
+      let backend = Wire.get_string r in
+      let processes = Wire.get_varint r in
+      let dimension = Wire.get_varint r in
+      let shards = Wire.get_varint r in
+      Health_r { ok; backend; processes; dimension; shards }
+  | 1 -> Metrics_r (Wire.get_string r)
+  | 2 -> Stats_r (get_stats r)
+  | 3 ->
+      let dropped = Wire.get_varint r in
+      let spans = Wire.get_varint r in
+      let jsonl = Wire.get_string r in
+      Tracedump_r { dropped; spans; jsonl }
+  | 4 -> Error_r (Wire.get_string r)
+  | t -> Wire.malformed "unknown admin response tag %d" t
+
+let decode_response s = Wire.parse s get_response
 
 let pp_request ppf = function
   | Health -> Format.fprintf ppf "Health"

@@ -12,7 +12,8 @@
 
     Like the data plane, integers are LEB128 varints and strings are
     length-prefixed; the latency quantiles are IEEE doubles in 8-byte
-    big-endian, so encoding is bit-deterministic. *)
+    big-endian, so encoding is bit-deterministic. Both planes use the
+    one {!Synts_clock.Wire} codec. *)
 
 type metrics_format = Prom | Json
 
@@ -88,8 +89,13 @@ val encode_request : request -> string
 (** Family header + tag + payload; wrap with [Wire.frame] before
     [Frame.send]. *)
 
-val decode_request : string -> (request, string) result
 val encode_response : response -> string
+
+(** Total, like the data-plane decoders: they never raise, accept only
+    canonical encodings, and bound every string length and list count
+    by the bytes left before allocating. *)
+
+val decode_request : string -> (request, string) result
 val decode_response : string -> (response, string) result
 
 val pp_request : Format.formatter -> request -> unit

@@ -50,25 +50,45 @@ let recv fd =
       if len > max_frame then failwith "frame too large";
       match read_exact fd len ~allow_eof:false with
       | `Eof -> assert false
-      | `Bytes body -> `Frame (Bytes.to_string body))
+      | `Bytes body -> `Frame (Bytes.unsafe_to_string body))
 
-type buffer = Buffer.t
+(* Reassembly buffer: live bytes are [data.[rd .. wr)]. Frames are cut
+   straight out of it; the live tail is moved to the front only when a
+   feed would not fit behind it, so draining k frames from one read
+   copies each byte once, not the whole buffer per frame. *)
+type buffer = { mutable data : Bytes.t; mutable rd : int; mutable wr : int }
 
-let buffer () = Buffer.create 4096
-let feed buf b len = Buffer.add_subbytes buf b 0 len
+let buffer () = { data = Bytes.create 4096; rd = 0; wr = 0 }
+
+let feed buf b len =
+  if buf.wr + len > Bytes.length buf.data then begin
+    let live = buf.wr - buf.rd in
+    let data =
+      if live + len <= Bytes.length buf.data then buf.data
+      else Bytes.create (max (live + len) (2 * Bytes.length buf.data))
+    in
+    Bytes.blit buf.data buf.rd data 0 live;
+    buf.data <- data;
+    buf.rd <- 0;
+    buf.wr <- live
+  end;
+  Bytes.blit b 0 buf.data buf.wr len;
+  buf.wr <- buf.wr + len
 
 let next buf =
-  let have = Buffer.length buf in
+  let have = buf.wr - buf.rd in
   if have < 4 then None
   else begin
-    let len = get_len (Buffer.to_bytes buf) 0 in
+    let len = get_len buf.data buf.rd in
     if len > max_frame then failwith "frame too large";
     if have < 4 + len then None
     else begin
-      let all = Buffer.contents buf in
-      let frame = String.sub all 4 len in
-      Buffer.clear buf;
-      Buffer.add_substring buf all (4 + len) (have - 4 - len);
+      let frame = Bytes.sub_string buf.data (buf.rd + 4) len in
+      buf.rd <- buf.rd + 4 + len;
+      if buf.rd = buf.wr then begin
+        buf.rd <- 0;
+        buf.wr <- 0
+      end;
       Some frame
     end
   end

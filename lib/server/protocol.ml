@@ -30,276 +30,200 @@ type response =
   | Error_r of string
   | Bye
 
-exception Fail of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
-
-let varint s off =
-  match Wire.read_varint s off with
-  | Some (v, off') -> (v, off')
-  | None -> fail "truncated varint at byte %d" off
-
-let byte s off =
-  if off >= String.length s then fail "truncated message at byte %d" off
-  else (Char.code s.[off], off + 1)
-
-(* A vector embedded mid-message: component count, then the components —
-   the same self-delimiting shape [Wire.encode] uses standalone. *)
-let vector s off =
-  let count, off = varint s off in
-  let v = Array.make count 0 in
-  let off = ref off in
-  for i = 0 to count - 1 do
-    let x, o = varint s !off in
-    v.(i) <- x;
-    off := o
-  done;
-  (v, !off)
-
-let put_vector buf v = Buffer.add_string buf (Wire.encode v)
-
-let put_string buf s =
-  Wire.put_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let get_string s off =
-  let len, off = varint s off in
-  if off + len > String.length s then fail "truncated string at byte %d" off
-  else (String.sub s off len, off + len)
-
-let finish_at s off what =
-  if off <> String.length s then
-    fail "%s: %d trailing bytes" what (String.length s - off)
+(* Decoders walk one {!Wire} cursor per message: every count and length
+   read from the wire is bounded by the bytes left before anything is
+   allocated for it, and only the canonical encoding of each message is
+   accepted, so [decode (encode m) = Ok m] and nothing else decodes. *)
 
 (* {2 Requests} *)
 
-let encode_request r =
-  let buf = Buffer.create 32 in
-  (match r with
-  | Hello -> Buffer.add_char buf '\x00'
-  | Observe { seq; events } ->
-      Buffer.add_char buf '\x01';
-      Wire.put_varint buf seq;
-      Wire.put_varint buf (Array.length events);
-      Array.iter
-        (function
-          | Ingest.Message { src; dst } ->
-              Buffer.add_char buf '\x00';
-              Wire.put_varint buf src;
-              Wire.put_varint buf dst
-          | Ingest.Internal { proc } ->
-              Buffer.add_char buf '\x01';
-              Wire.put_varint buf proc)
-        events
-  | Drain -> Buffer.add_char buf '\x02'
-  | Finish -> Buffer.add_char buf '\x03'
-  | Verify -> Buffer.add_char buf '\x04'
-  | Stats -> Buffer.add_char buf '\x05'
-  | Shutdown -> Buffer.add_char buf '\x06'
-  | Churn delta ->
-      Buffer.add_char buf '\x07';
-      put_string buf delta);
-  Buffer.contents buf
+let put_event w = function
+  | Ingest.Message { src; dst } ->
+      Wire.put_byte w 0;
+      Wire.put_varint w src;
+      Wire.put_varint w dst
+  | Ingest.Internal { proc } ->
+      Wire.put_byte w 1;
+      Wire.put_varint w proc
 
-let decode_request s =
-  try
-    if s = "" then fail "empty request"
-    else begin
-      let tag, off = byte s 0 in
-      match tag with
-      | 0 ->
-          finish_at s off "Hello";
-          Ok Hello
-      | 1 ->
-          let seq, off = varint s off in
-          let count, off = varint s off in
-          let off = ref off in
-          let events =
-            Array.init count (fun _ ->
-                let kind, o = byte s !off in
-                match kind with
-                | 0 ->
-                    let src, o = varint s o in
-                    let dst, o = varint s o in
-                    off := o;
-                    Ingest.Message { src; dst }
-                | 1 ->
-                    let proc, o = varint s o in
-                    off := o;
-                    Ingest.Internal { proc }
-                | k -> fail "unknown event kind %d" k)
-          in
-          finish_at s !off "Observe";
-          Ok (Observe { seq; events })
-      | 2 ->
-          finish_at s off "Drain";
-          Ok Drain
-      | 3 ->
-          finish_at s off "Finish";
-          Ok Finish
-      | 4 ->
-          finish_at s off "Verify";
-          Ok Verify
-      | 5 ->
-          finish_at s off "Stats";
-          Ok Stats
-      | 6 ->
-          finish_at s off "Shutdown";
-          Ok Shutdown
-      | 7 ->
-          let delta, off = get_string s off in
-          finish_at s off "Churn";
-          Ok (Churn delta)
-      | t -> fail "unknown request tag %d" t
-    end
-  with Fail e -> Error e
+let encode_request r =
+  let w = Wire.writer 16 in
+  (match r with
+  | Hello -> Wire.put_byte w 0
+  | Observe { seq; events } ->
+      Wire.put_byte w 1;
+      Wire.put_varint w seq;
+      Wire.put_varint w (Array.length events);
+      Array.iter (put_event w) events
+  | Drain -> Wire.put_byte w 2
+  | Finish -> Wire.put_byte w 3
+  | Verify -> Wire.put_byte w 4
+  | Stats -> Wire.put_byte w 5
+  | Shutdown -> Wire.put_byte w 6
+  | Churn delta ->
+      Wire.put_byte w 7;
+      Wire.put_string w delta);
+  Wire.contents w
+
+let get_event r =
+  match Wire.get_byte r with
+  | 0 ->
+      let src = Wire.get_varint r in
+      let dst = Wire.get_varint r in
+      Ingest.Message { src; dst }
+  | 1 -> Ingest.Internal { proc = Wire.get_varint r }
+  | k -> Wire.malformed "unknown event kind %d" k
+
+let get_request r =
+  match Wire.get_byte r with
+  | 0 -> Hello
+  | 1 ->
+      let seq = Wire.get_varint r in
+      let count = Wire.get_count r in
+      Observe { seq; events = Array.init count (fun _ -> get_event r) }
+  | 2 -> Drain
+  | 3 -> Finish
+  | 4 -> Verify
+  | 5 -> Stats
+  | 6 -> Shutdown
+  | 7 -> Churn (Wire.get_string r)
+  | t -> Wire.malformed "unknown request tag %d" t
+
+let decode_request s = Wire.parse s get_request
 
 (* {2 Responses} *)
 
+(* Stamps of one batch carry counters of similar size, so the first
+   one's encoding times the outcome count sizes the buffer; the writer
+   grows if a later stamp is longer. *)
+let outcomes_capacity outcomes =
+  let stamp =
+    Array.find_map
+      (function Ingest.Stamped v -> Some v | Ingest.Deferred _ -> None)
+      outcomes
+  in
+  let per =
+    match stamp with Some v -> 1 + Wire.encoded_bytes v | None -> 4
+  in
+  8 + (Array.length outcomes * per)
+
 let encode_response r =
-  let buf = Buffer.create 64 in
+  let w =
+    Wire.writer
+      (match r with Outcomes outcomes -> outcomes_capacity outcomes | _ -> 64)
+  in
   (match r with
   | Welcome { processes; dimension; shards; epoch } ->
-      Buffer.add_char buf '\x00';
-      Wire.put_varint buf processes;
-      Wire.put_varint buf dimension;
-      Wire.put_varint buf shards;
-      Wire.put_varint buf epoch
+      Wire.put_byte w 0;
+      Wire.put_varint w processes;
+      Wire.put_varint w dimension;
+      Wire.put_varint w shards;
+      Wire.put_varint w epoch
   | Outcomes outcomes ->
-      Buffer.add_char buf '\x01';
-      Wire.put_varint buf (Array.length outcomes);
+      Wire.put_byte w 1;
+      Wire.put_varint w (Array.length outcomes);
       Array.iter
         (function
           | Ingest.Stamped v ->
-              Buffer.add_char buf '\x00';
-              put_vector buf v
+              Wire.put_byte w 0;
+              Wire.put_vector w v
           | Ingest.Deferred ticket ->
-              Buffer.add_char buf '\x01';
-              Wire.put_varint buf ticket)
+              Wire.put_byte w 1;
+              Wire.put_varint w ticket)
         outcomes
   | Resolved resolved ->
-      Buffer.add_char buf '\x02';
-      Wire.put_varint buf (List.length resolved);
+      Wire.put_byte w 2;
+      Wire.put_varint w (List.length resolved);
       List.iter
         (fun (ticket, (stamp : Internal_events.stamp)) ->
-          Wire.put_varint buf ticket;
-          Wire.put_varint buf stamp.proc;
-          put_vector buf stamp.prev;
+          Wire.put_varint w ticket;
+          Wire.put_varint w stamp.proc;
+          Wire.put_vector w stamp.prev;
           (match stamp.succ with
-          | None -> Buffer.add_char buf '\x00'
+          | None -> Wire.put_byte w 0
           | Some v ->
-              Buffer.add_char buf '\x01';
-              put_vector buf v);
-          Wire.put_varint buf stamp.counter)
+              Wire.put_byte w 1;
+              Wire.put_vector w v);
+          Wire.put_varint w stamp.counter)
         resolved
   | Verified { ok; checked } ->
-      Buffer.add_char buf '\x03';
-      Buffer.add_char buf (if ok then '\x01' else '\x00');
-      Wire.put_varint buf checked
+      Wire.put_byte w 3;
+      Wire.put_bool w ok;
+      Wire.put_varint w checked
   | Stats_r { clients; batches; messages; internal; dropped; pending } ->
-      Buffer.add_char buf '\x04';
-      Wire.put_varint buf clients;
-      Wire.put_varint buf batches;
-      Wire.put_varint buf messages;
-      Wire.put_varint buf internal;
-      Wire.put_varint buf dropped;
-      Wire.put_varint buf pending
+      Wire.put_byte w 4;
+      Wire.put_varint w clients;
+      Wire.put_varint w batches;
+      Wire.put_varint w messages;
+      Wire.put_varint w internal;
+      Wire.put_varint w dropped;
+      Wire.put_varint w pending
   | Error_r msg ->
-      Buffer.add_char buf '\x05';
-      put_string buf msg
-  | Bye -> Buffer.add_char buf '\x06'
+      Wire.put_byte w 5;
+      Wire.put_string w msg
+  | Bye -> Wire.put_byte w 6
   | Epoch_r { epoch; processes; dimension } ->
-      Buffer.add_char buf '\x07';
-      Wire.put_varint buf epoch;
-      Wire.put_varint buf processes;
-      Wire.put_varint buf dimension);
-  Buffer.contents buf
+      Wire.put_byte w 7;
+      Wire.put_varint w epoch;
+      Wire.put_varint w processes;
+      Wire.put_varint w dimension);
+  Wire.contents w
 
-let decode_response s =
-  try
-    if s = "" then fail "empty response"
-    else begin
-      let tag, off = byte s 0 in
-      match tag with
-      | 0 ->
-          let processes, off = varint s off in
-          let dimension, off = varint s off in
-          let shards, off = varint s off in
-          let epoch, off = varint s off in
-          finish_at s off "Welcome";
-          Ok (Welcome { processes; dimension; shards; epoch })
-      | 1 ->
-          let count, off = varint s off in
-          let off = ref off in
-          let outcomes =
-            Array.init count (fun _ ->
-                let kind, o = byte s !off in
-                match kind with
-                | 0 ->
-                    let v, o = vector s o in
-                    off := o;
-                    Ingest.Stamped v
-                | 1 ->
-                    let ticket, o = varint s o in
-                    off := o;
-                    Ingest.Deferred ticket
-                | k -> fail "unknown outcome kind %d" k)
-          in
-          finish_at s !off "Outcomes";
-          Ok (Outcomes outcomes)
-      | 2 ->
-          let count, off = varint s off in
-          let off = ref off in
-          let resolved =
-            List.init count (fun _ ->
-                let ticket, o = varint s !off in
-                let proc, o = varint s o in
-                let prev, o = vector s o in
-                let flag, o = byte s o in
-                let succ, o =
-                  match flag with
-                  | 0 -> (None, o)
-                  | 1 ->
-                      let v, o = vector s o in
-                      (Some v, o)
-                  | f -> fail "unknown succ flag %d" f
-                in
-                let counter, o = varint s o in
-                off := o;
-                (ticket, { Internal_events.proc; prev; succ; counter }))
-          in
-          finish_at s !off "Resolved";
-          Ok (Resolved resolved)
-      | 3 ->
-          let ok, off = byte s off in
-          let checked, off = varint s off in
-          finish_at s off "Verified";
-          Ok (Verified { ok = ok <> 0; checked })
-      | 4 ->
-          let clients, off = varint s off in
-          let batches, off = varint s off in
-          let messages, off = varint s off in
-          let internal, off = varint s off in
-          let dropped, off = varint s off in
-          let pending, off = varint s off in
-          finish_at s off "Stats_r";
-          Ok (Stats_r { clients; batches; messages; internal; dropped; pending })
-      | 5 ->
-          let msg, off = get_string s off in
-          finish_at s off "Error_r";
-          Ok (Error_r msg)
-      | 6 ->
-          finish_at s off "Bye";
-          Ok Bye
-      | 7 ->
-          let epoch, off = varint s off in
-          let processes, off = varint s off in
-          let dimension, off = varint s off in
-          finish_at s off "Epoch_r";
-          Ok (Epoch_r { epoch; processes; dimension })
-      | t -> fail "unknown response tag %d" t
-    end
-  with Fail e -> Error e
+let get_outcome r =
+  match Wire.get_byte r with
+  | 0 -> Ingest.Stamped (Wire.get_vector r)
+  | 1 -> Ingest.Deferred (Wire.get_varint r)
+  | k -> Wire.malformed "unknown outcome kind %d" k
+
+let get_resolved r =
+  let ticket = Wire.get_varint r in
+  let proc = Wire.get_varint r in
+  let prev = Wire.get_vector r in
+  let succ =
+    match Wire.get_byte r with
+    | 0 -> None
+    | 1 -> Some (Wire.get_vector r)
+    | f -> Wire.malformed "unknown succ flag %d" f
+  in
+  let counter = Wire.get_varint r in
+  (ticket, { Internal_events.proc; prev; succ; counter })
+
+let get_response r =
+  match Wire.get_byte r with
+  | 0 ->
+      let processes = Wire.get_varint r in
+      let dimension = Wire.get_varint r in
+      let shards = Wire.get_varint r in
+      let epoch = Wire.get_varint r in
+      Welcome { processes; dimension; shards; epoch }
+  | 1 ->
+      let count = Wire.get_count r in
+      Outcomes (Array.init count (fun _ -> get_outcome r))
+  | 2 ->
+      let count = Wire.get_count r in
+      Resolved (List.init count (fun _ -> get_resolved r))
+  | 3 ->
+      let ok = Wire.get_bool r in
+      let checked = Wire.get_varint r in
+      Verified { ok; checked }
+  | 4 ->
+      let clients = Wire.get_varint r in
+      let batches = Wire.get_varint r in
+      let messages = Wire.get_varint r in
+      let internal = Wire.get_varint r in
+      let dropped = Wire.get_varint r in
+      let pending = Wire.get_varint r in
+      Stats_r { clients; batches; messages; internal; dropped; pending }
+  | 5 -> Error_r (Wire.get_string r)
+  | 6 -> Bye
+  | 7 ->
+      let epoch = Wire.get_varint r in
+      let processes = Wire.get_varint r in
+      let dimension = Wire.get_varint r in
+      Epoch_r { epoch; processes; dimension }
+  | t -> Wire.malformed "unknown response tag %d" t
+
+let decode_response s = Wire.parse s get_response
 
 let pp_request ppf = function
   | Hello -> Format.fprintf ppf "Hello"

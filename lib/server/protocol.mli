@@ -1,8 +1,8 @@
 (** Binary request/response codec for the [synts serve] wire protocol.
 
     Messages are byte strings: a one-byte tag followed by LEB128 varints
-    ({!Synts_clock.Wire.put_varint} — the same integer encoding vectors
-    use) and length-prefixed vector payloads. On the socket every message
+    and length-prefixed vector payloads, built with the
+    {!Synts_clock.Wire} codec vectors use. On the socket every message
     travels inside a versioned {!Synts_clock.Wire.frame} under a 4-byte
     big-endian length prefix (see {!Frame}), so corruption is caught by
     the checksum before decoding and version mismatches are rejected
@@ -48,8 +48,14 @@ type response =
   | Bye
 
 val encode_request : request -> string
-val decode_request : string -> (request, string) result
 val encode_response : response -> string
+
+(** The decoders are total: they never raise, and they accept exactly
+    the canonical encodings — [decode s = Ok m] implies [encode m = s].
+    Every count and length read from [s] is checked against the bytes
+    left before anything is allocated for it. *)
+
+val decode_request : string -> (request, string) result
 val decode_response : string -> (response, string) result
 
 val pp_request : Format.formatter -> request -> unit

@@ -53,11 +53,10 @@ let bind_listen address =
       Unix.listen fd 64;
       fd
 
-(* The only [Bye] the service ever frames answers [Shutdown]. *)
-let bye = Protocol.encode_response Protocol.Bye
-
-let is_bye reply =
-  match Wire.unframe reply with Ok body -> body = bye | Error _ -> false
+(* The only [Bye] the service ever frames answers [Shutdown]. Frames are
+   deterministic, so spotting it is a string comparison: a length check
+   for every other reply. *)
+let bye_frame = Wire.frame (Protocol.encode_response Protocol.Bye)
 
 (* One select loop owns the data listener, the optional admin listener
    and every connection of both planes. Admin connections carry no
@@ -97,7 +96,8 @@ let loop ?admin service listen_fd address =
           | Some frame ->
               let reply = Service.handle_raw service conn frame in
               Frame.send fd reply;
-              if is_bye reply then running := false else drain ()
+              if String.equal reply bye_frame then running := false
+              else drain ()
         in
         (try drain ()
          with Failure _ ->

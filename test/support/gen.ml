@@ -97,3 +97,44 @@ let tiny_poset : Synts_poset.Poset.t QCheck2.Gen.t =
   let* seed = rng_seed in
   let* p = float_bound_inclusive 0.6 in
   return (Synts_poset.Poset.random (Rng.create seed) n p)
+
+(* ---------- hostile decoder input ---------- *)
+
+(* Arbitrary bytes, or one valid encoding with a single byte replaced or
+   cut short — the inputs that reach a decoder's bounds checks. *)
+let hostile (valid : string QCheck2.Gen.t) : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  oneof
+    [
+      string_size (int_bound 48);
+      (let* s = valid and* i = nat and* c = char in
+       if s = "" then return s
+       else begin
+         let b = Bytes.of_string s in
+         Bytes.set b (i mod String.length s) c;
+         return (Bytes.to_string b)
+       end);
+      (let* s = valid and* i = nat in
+       return (String.sub s 0 (i mod (String.length s + 1))));
+    ]
+
+(* One LEB128 varint, for hand-built hostile messages. *)
+let varint v =
+  let w = Synts_clock.Wire.writer 9 in
+  Synts_clock.Wire.put_varint w v;
+  Synts_clock.Wire.contents w
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* A total decoder never raises, and whatever it accepts re-encodes to
+   exactly the input: [encodes s x] says whether [x] encodes to [s]. *)
+let total_decoder decode encodes s =
+  match decode s with
+  | Ok x -> encodes s x
+  | Error _ -> true
+  | exception e ->
+      QCheck2.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)

@@ -267,9 +267,16 @@ let test_wire_rejects () =
   (match Wire.decode (Wire.encode [| 1; 2 |] ^ "\x00") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing");
-  match Wire.decode "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" with
+  (match Wire.decode "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "overflowing varint"
+  | Ok _ -> Alcotest.fail "overflowing varint");
+  (* Overlong encodings of 0 and of 1: only the shortest form decodes. *)
+  (match Wire.decode "\x01\x80\x00" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "non-canonical zero");
+  match Wire.decode "\x81\x00\x01" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "non-canonical count"
 
 let test_wire_diff =
   qtest ~count:300 "diff round-trips against the previous vector"
@@ -294,6 +301,111 @@ let test_wire_diff_compresses () =
     (String.length diff < String.length full / 4);
   Alcotest.(check int) "single change costs 3 bytes" 3 (String.length diff)
 
+(* Reference codecs written straight from their definitions: the
+   optimised [Wire] must agree with them byte for byte. *)
+let fnv1a s =
+  let h = ref 0x811c9dc5 in
+  String.iter
+    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
+    s;
+  !h
+
+let leb128 v =
+  let b = Buffer.create 10 in
+  let rec go v =
+    if v < 0x80 then Buffer.add_char b (Char.chr v)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
+      go (v lsr 7)
+    end
+  in
+  go v;
+  Buffer.contents b
+
+(* Every varint length, with the values either side of each length
+   boundary drawn often. *)
+let any_component =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_bound 300;
+        int_bound 3_000_000;
+        map (fun x -> x land max_int) int;
+        map (fun bits -> (1 lsl bits) - 1) (int_range 0 62);
+        map (fun bits -> 1 lsl bits) (int_range 0 61);
+      ])
+
+let test_checksum_vectors () =
+  (* Published FNV-1a 32-bit test vectors. *)
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int) (Printf.sprintf "fnv1a %S" s) h (Wire.checksum s))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ]
+
+let test_checksum_reference =
+  qtest ~count:300 "checksum matches a reference FNV-1a"
+    QCheck2.Gen.(string_size (int_bound 300))
+    Gen.hex
+    (fun s -> Wire.checksum s = fnv1a s)
+
+let test_encode_reference =
+  qtest ~count:300 "encode matches a reference LEB128"
+    QCheck2.Gen.(array_size (int_bound 12) any_component)
+    Vector.to_string
+    (fun v ->
+      Wire.encode v
+      = String.concat "" (List.map leb128 (Array.length v :: Array.to_list v)))
+
+(* Bytes recorded from the previous codec: any change to the vector,
+   epoch or diff layout fails here. *)
+let test_wire_golden () =
+  let check name expect got =
+    Alcotest.(check string) name expect (Gen.hex got)
+  in
+  check "encode" "05007f8001ac02ffffffffffffffff3f"
+    (Wire.encode [| 0; 127; 128; 300; max_int |]);
+  check "epoch v0" "c1dfc79005030304008101"
+    (Wire.encode_epoch_framed ~version:0 ~epoch:3 [| 4; 0; 129 |]);
+  check "epoch v1" "d701c1dfc79005030304008101"
+    (Wire.encode_epoch_framed ~epoch:3 [| 4; 0; 129 |]);
+  check "diff" "02010503c801"
+    (Wire.encode_diff ~prev:[| 1; 2; 3; 4 |] [| 1; 5; 3; 200 |])
+
+let any_vector = QCheck2.Gen.(array_size (int_bound 10) any_component)
+
+let test_decode_total =
+  qtest ~count:1000 "decode is total and canonical"
+    (Gen.hostile (QCheck2.Gen.map Wire.encode any_vector))
+    Gen.hex
+    (Gen.total_decoder Wire.decode (fun s v -> Wire.encode v = s))
+
+let test_decode_epoch_total =
+  qtest ~count:1000 "decode_epoch is total and canonical"
+    (Gen.hostile
+       QCheck2.Gen.(
+         map2
+           (fun epoch v -> Wire.encode_epoch ~epoch v)
+           any_component any_vector))
+    Gen.hex
+    (Gen.total_decoder Wire.decode_epoch (fun s (epoch, v) ->
+         Wire.encode_epoch ~epoch v = s))
+
+(* Against a [prev] of -1s every decoded entry differs from [prev], so an
+   accepted diff must re-encode to its own bytes; a short [prev] puts
+   some indices out of range. *)
+let test_decode_diff_total =
+  let prev = Array.make 8 (-1) in
+  qtest ~count:1000 "decode_diff is total and canonical"
+    (Gen.hostile
+       QCheck2.Gen.(
+         map2
+           (fun base v -> Wire.encode_diff ~prev:base v)
+           (array_size (return 10) (int_bound 3))
+           (array_size (return 10) any_component)))
+    Gen.hex
+    (Gen.total_decoder (Wire.decode_diff ~prev) (fun s v ->
+         Wire.encode_diff ~prev v = s))
+
 let () =
   Alcotest.run "clock"
     [
@@ -303,6 +415,13 @@ let () =
             test_wire_small_vectors_cheap;
           Alcotest.test_case "rejects malformed" `Quick test_wire_rejects;
           Alcotest.test_case "diff compresses" `Quick test_wire_diff_compresses;
+          Alcotest.test_case "FNV-1a test vectors" `Quick test_checksum_vectors;
+          Alcotest.test_case "golden bytes" `Quick test_wire_golden;
+          test_checksum_reference;
+          test_encode_reference;
+          test_decode_total;
+          test_decode_epoch_total;
+          test_decode_diff_total;
           test_wire_roundtrip;
           test_wire_size;
           test_wire_diff;

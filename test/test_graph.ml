@@ -482,6 +482,60 @@ let test_client_server_constant () =
         (Decomposition.size (Decomposition.best g)))
     [ 4; 16; 64 ]
 
+(* Degrees are cached; after any sequence of updates, and in a graph
+   rebuilt by [of_edges], they must still be the neighbour counts the
+   adjacency sets give. *)
+type graph_op = Add of int * int | Remove of int * int | Isolate of int
+
+let graph_ops_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 12 in
+    let vertex = int_bound (n - 1) in
+    let* ops =
+      list_size (int_bound 60)
+        (frequency
+           [
+             (5, map2 (fun u v -> Add (u, v)) vertex vertex);
+             (3, map2 (fun u v -> Remove (u, v)) vertex vertex);
+             (1, map (fun v -> Isolate v) vertex);
+           ])
+    in
+    return (n, ops))
+
+let graph_ops_print (n, ops) =
+  Printf.sprintf "n=%d [%s]" n
+    (String.concat "; "
+       (List.map
+          (function
+            | Add (u, v) -> Printf.sprintf "add %d-%d" u v
+            | Remove (u, v) -> Printf.sprintf "remove %d-%d" u v
+            | Isolate v -> Printf.sprintf "isolate %d" v)
+          ops))
+
+let test_degree_cache =
+  qtest ~count:300 "cached degrees match neighbour counts" graph_ops_gen
+    graph_ops_print (fun (n, ops) ->
+      let g =
+        List.fold_left
+          (fun g -> function
+            | Add (u, v) -> if u = v then g else Graph.add_edge g u v
+            | Remove (u, v) -> Graph.remove_edge g u v
+            | Isolate v -> Graph.remove_vertex_edges g v)
+          (Graph.empty n) ops
+      in
+      let counts g =
+        List.map (fun v -> List.length (Graph.neighbors g v)) (Graph.vertices g)
+      in
+      let consistent g =
+        List.for_all2
+          (fun v c -> Graph.degree g v = c)
+          (Graph.vertices g) (counts g)
+        && Graph.max_degree g = List.fold_left max 0 (counts g)
+        && 2 * Graph.m g = List.fold_left ( + ) 0 (counts g)
+      in
+      let rebuilt = Graph.of_edges n (Graph.edges g) in
+      consistent g && consistent rebuilt && Graph.equal g rebuilt)
+
 let () =
   Alcotest.run "graph"
     [
@@ -496,6 +550,7 @@ let () =
             test_triangle_recognition;
           Alcotest.test_case "adjacent edge count" `Quick
             test_adjacent_edge_count;
+          test_degree_cache;
         ] );
       ( "topology",
         [

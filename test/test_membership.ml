@@ -54,6 +54,10 @@ let test_basics () =
     | exception Not_found -> true);
   Alcotest.(check bool) "join of active proc rejected" true
     (Result.is_error (Membership.apply m (Membership.Join { proc = 0; edges = [] })));
+  Alcotest.(check bool) "join skipping ids rejected" true
+    (Result.is_error
+       (Membership.apply m (Membership.Join { proc = 1_000_000_000_000; edges = [] })));
+  Alcotest.(check int) "universe unchanged" 4 (Membership.processes m);
   Alcotest.(check bool) "duplicate add rejected" true
     (Result.is_error (Membership.apply m (Membership.Add_edge (0, 2))));
   Alcotest.(check bool) "drop of absent edge rejected" true

@@ -233,6 +233,133 @@ let test_response_roundtrip =
     (Format.asprintf "%a" Admin.pp_response) (fun resp ->
       Admin.decode_response (Admin.encode_response resp) = Ok resp)
 
+(* The v0 frames the previous codec produced: the admin family keeps
+   its bytes too. *)
+let golden_admin () =
+  let check label v0 body =
+    Alcotest.(check string) (label ^ " v0") v0
+      (Gen.hex (Wire.frame ~version:0 body));
+    Alcotest.(check string) (label ^ " v1") ("d701" ^ v0)
+      (Gen.hex (Wire.frame body))
+  in
+  List.iter
+    (fun (req, v0) ->
+      check
+        (Format.asprintf "%a" Admin.pp_request req)
+        v0 (Admin.encode_request req))
+    [
+      (Admin.Health, "e19f91b709ad0100");
+      (Admin.Metrics Admin.Json, "dd8c9dab04ad010101");
+      (Admin.Stats, "bb9991a709ad0102");
+      (Admin.Tracedump, "a896919f09ad0103");
+    ];
+  List.iter
+    (fun (resp, v0) ->
+      check (Format.asprintf "%a" Admin.pp_response resp) v0
+        (Admin.encode_response resp))
+    [
+      ( Admin.Health_r
+          {
+            ok = true;
+            backend = "sharded:2";
+            processes = 256;
+            dimension = 8;
+            shards = 2;
+          },
+        "98f4a2fd0cad01000109736861726465643a3280020802" );
+      ( Admin.Metrics_r "server_requests 7\n",
+        "f7ee8ddf03ad0101127365727665725f726571756573747320370a" );
+      ( Admin.Stats_r
+          {
+            backend = "offline-stream";
+            clients = 2;
+            batches = 10;
+            messages = 300;
+            internal = 20;
+            dedup_hits = 1;
+            errors = 0;
+            dropped = 0;
+            pending = 4;
+            p50_ms = 0.25;
+            p90_ms = 1.5;
+            p99_ms = 12.75;
+            shards =
+              [
+                {
+                  Admin.shard = 0;
+                  s_events = 320;
+                  s_cells = 2560;
+                  s_messages = 300;
+                };
+              ];
+            conns =
+              [
+                {
+                  Admin.conn = 0;
+                  events_in = 200;
+                  stamps_out = 180;
+                  dedup_hits = 1;
+                  last_seq = -1;
+                };
+                {
+                  Admin.conn = 1;
+                  events_in = 120;
+                  stamps_out = 120;
+                  dedup_hits = 0;
+                  last_seq = 9;
+                };
+              ];
+            stream =
+              Some
+                {
+                  Admin.chains = 3;
+                  live = 40;
+                  retired = 260;
+                  width = 3;
+                  exact = true;
+                  repairs = 2;
+                };
+          },
+        "f2fbd5c209ad01020e6f66666c696e652d73747265616d020aac02140100"
+        ^ "00043fd00000000000003ff80000000000004029800000000000010"
+        ^ "0c0028014ac020200c801b4010100017878000a0103288402030102" );
+      ( Admin.Tracedump_r { dropped = 0; spans = 1; jsonl = "{}\n" },
+        "c28cbc8404ad01030001037b7d0a" );
+      ( Admin.Error_r "unknown admin request tag 9",
+        "d1a3e5a60ead01041b756e6b6e6f776e2061646d696e20726571756573"
+        ^ "74207461672039" );
+    ]
+
+(* String lengths and list counts read from the wire are bounded by the
+   bytes left before anything is allocated for them. *)
+let test_admin_oversized () =
+  List.iter
+    (fun (name, body) ->
+      match Admin.decode_response body with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" name)
+    [
+      ("metrics max_int bytes", "\xad\x01\x01" ^ Gen.varint max_int ^ "x");
+      ("error 2^60 bytes", "\xad\x01\x04" ^ Gen.varint (1 lsl 60) ^ "x");
+      ( "stats 2^60 shards",
+        "\xad\x01\x02\x00" ^ String.make 8 '\x00' ^ String.make 24 '\x00'
+        ^ Gen.varint (1 lsl 60) );
+    ]
+
+let test_admin_request_total =
+  qtest ~count:1000 "admin decode_request is total and canonical"
+    (Gen.hostile (QCheck2.Gen.map Admin.encode_request request_gen))
+    Gen.hex
+    (Gen.total_decoder Admin.decode_request (fun s r ->
+         Admin.encode_request r = s))
+
+let test_admin_response_total =
+  qtest ~count:1000 "admin decode_response is total and canonical"
+    (Gen.hostile (QCheck2.Gen.map Admin.encode_response response_gen))
+    Gen.hex
+    (Gen.total_decoder Admin.decode_response (fun s r ->
+         Admin.encode_response r = s))
+
 (* The family header: data-plane bodies and future family versions are
    rejected with a decode error, not misparsed. *)
 let test_family_rejection () =
@@ -386,6 +513,11 @@ let () =
           test_response_roundtrip;
           Alcotest.test_case "family header rejection" `Quick
             test_family_rejection;
+          Alcotest.test_case "golden frames" `Quick golden_admin;
+          Alcotest.test_case "oversized lengths rejected" `Quick
+            test_admin_oversized;
+          test_admin_request_total;
+          test_admin_response_total;
         ] );
       ( "cross-shard",
         [ test_merge_matches_oracle; test_merge_under_faults ] );

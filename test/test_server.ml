@@ -11,6 +11,7 @@ module Protocol = Synts_server.Protocol
 module Service = Synts_server.Service
 module Server = Synts_server.Server
 module Client = Synts_server.Client
+module Frame = Synts_server.Frame
 module Session = Synts_session.Session
 module Injector = Synts_fault.Injector
 module Plan = Synts_fault.Plan
@@ -259,6 +260,297 @@ let test_wire_versioned_vectors () =
     (Wire.decode_framed (Wire.encode_framed v) = Ok v);
   Alcotest.(check bool) "v0 vector roundtrip" true
     (Wire.decode_framed (Wire.encode_framed ~version:0 v) = Ok v)
+
+(* ---------- byte identity and decoder totality ---------- *)
+
+(* One of each request and response, with the v0 and v1 frames the
+   previous codec produced for them: recorded v0 traffic and clients
+   built from older trees must keep interoperating byte for byte. *)
+let golden_requests =
+  [
+    (Protocol.Hello, "9fbab12800");
+    ( Protocol.Observe
+        {
+          seq = 300;
+          events =
+            [|
+              Ingest.Message { src = 3; dst = 130 };
+              Ingest.Internal { proc = 7 };
+            |];
+        },
+      "b099d4eb0601ac0202000382010107" );
+    (Protocol.Drain, "c5c0b13802");
+    (Protocol.Finish, "b2bdb13003");
+    (Protocol.Verify, "d3adb10804");
+    (Protocol.Stats, "c0aa3105");
+    ( Protocol.Churn "join:4:4-0,4-2",
+      "d6e1d5df0c070e6a6f696e3a343a342d302c342d32" );
+    (Protocol.Shutdown, "f9b3b11806");
+  ]
+
+let golden_responses =
+  [
+    ( Protocol.Welcome
+        { processes = 256; dimension = 8; shards = 2; epoch = 1 },
+      "82ade5f902008002080201" );
+    ( Protocol.Outcomes
+        [| Ingest.Stamped [| 0; 1; 127; 128; 16384 |]; Ingest.Deferred 5 |],
+      "99c799f20b0102000500017f80018080010105" );
+    ( Protocol.Resolved
+        [
+          ( 5,
+            {
+              Synts_core.Internal_events.proc = 2;
+              prev = [| 1; 2 |];
+              succ = Some [| 3; 300 |];
+              counter = 1;
+            } );
+          ( 6,
+            {
+              Synts_core.Internal_events.proc = 0;
+              prev = [| 0; 0 |];
+              succ = None;
+              counter = 0;
+            } );
+        ],
+      "8ac6ced60402020502020102010203ac020106000200000000" );
+    (Protocol.Verified { ok = true; checked = 42 }, "d99ce9cc0c03012a");
+    ( Protocol.Stats_r
+        {
+          clients = 3;
+          batches = 1000;
+          messages = 64000;
+          internal = 7000;
+          dropped = 0;
+          pending = 12;
+        },
+      "b8d3eac2070403e80780f403d836000c" );
+    ( Protocol.Epoch_r { epoch = 2; processes = 5; dimension = 3 },
+      "d8baf1c10607020503" );
+    ( Protocol.Error_r "sequence gap: got 5, expected 3",
+      "96cbab8302051f73657175656e6365206761703a20676f7420352c20"
+      ^ "65787065637465642033" );
+    (Protocol.Bye, "f9b3b11806");
+  ]
+
+let check_golden name encode decode pp (msg, v0) =
+  let body = encode msg in
+  let label = Format.asprintf "%s %a" name pp msg in
+  Alcotest.(check string) (label ^ " v0") v0
+    (Gen.hex (Wire.frame ~version:0 body));
+  Alcotest.(check string) (label ^ " v1") ("d701" ^ v0)
+    (Gen.hex (Wire.frame body));
+  match Result.bind (Wire.unframe (Wire.frame ~version:0 body)) decode with
+  | Ok m when m = msg -> ()
+  | _ -> Alcotest.failf "%s: golden v0 frame does not decode back" label
+
+let test_golden_frames () =
+  List.iter
+    (check_golden "request" Protocol.encode_request Protocol.decode_request
+       Protocol.pp_request)
+    golden_requests;
+  List.iter
+    (check_golden "response" Protocol.encode_response Protocol.decode_response
+       Protocol.pp_response)
+    golden_responses
+
+(* Wire-supplied sizes that once reached [Array.make] / [String.sub]
+   unchecked: an Observe announcing 2^60 events (one present) and a
+   max_int-long Churn string each raised out of the decoder and took the
+   daemon down. *)
+let oversized_requests =
+  [
+    ( "observe 2^60 events",
+      "\x01" ^ Gen.varint 0 ^ Gen.varint (1 lsl 60) ^ "\x01\x00" );
+    ("churn max_int bytes", "\x07" ^ Gen.varint max_int ^ "join:4");
+  ]
+
+let oversized_responses =
+  [
+    ("outcomes 2^60", "\x01" ^ Gen.varint (1 lsl 60) ^ "\x01\x05");
+    ( "vector 2^60",
+      "\x01" ^ Gen.varint 1 ^ "\x00" ^ Gen.varint (1 lsl 60) ^ "\x01" );
+    ("resolved 2^60", "\x02" ^ Gen.varint (1 lsl 60));
+    ("error max_int bytes", "\x05" ^ Gen.varint max_int ^ "boom");
+  ]
+
+(* Well-formed, but the joiner id once made the membership allocate a
+   vertex array of 10^12 entries. *)
+let oversized_deltas =
+  [
+    ( "join of process 10^12",
+      Protocol.encode_request
+        (Protocol.Churn "join:1000000000000:1000000000000-0") );
+  ]
+
+let test_oversized_counts_rejected () =
+  List.iter
+    (fun (name, body) ->
+      match Protocol.decode_request body with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" name)
+    oversized_requests;
+  List.iter
+    (fun (name, body) ->
+      match Protocol.decode_response body with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" name)
+    oversized_responses;
+  let service = Service.create (Decomposition.best (Topology.star 4)) in
+  Fun.protect
+    ~finally:(fun () -> Service.stop service)
+    (fun () ->
+      let conn = Service.attach service in
+      List.iter
+        (fun (name, body) ->
+          match
+            Result.bind
+              (Wire.unframe (Service.handle_raw service conn (Wire.frame body)))
+              Protocol.decode_response
+          with
+          | Ok (Protocol.Error_r _) -> ()
+          | Ok r -> Alcotest.failf "%s answered %a" name Protocol.pp_response r
+          | Error e -> Alcotest.failf "%s: unreadable reply (%s)" name e)
+        (oversized_requests @ oversized_deltas))
+
+let test_decode_request_total =
+  qtest ~count:1000 "decode_request is total and canonical"
+    (Gen.hostile (QCheck2.Gen.map Protocol.encode_request request_gen))
+    Gen.hex
+    (Gen.total_decoder Protocol.decode_request (fun s r ->
+         Protocol.encode_request r = s))
+
+let test_decode_response_total =
+  qtest ~count:1000 "decode_response is total and canonical"
+    (Gen.hostile (QCheck2.Gen.map Protocol.encode_response response_gen))
+    Gen.hex
+    (Gen.total_decoder Protocol.decode_response (fun s r ->
+         Protocol.encode_response r = s))
+
+let framed_gen =
+  QCheck2.Gen.(
+    map2
+      (fun version body -> Wire.frame ~version body)
+      (oneofl [ 0; 1 ])
+      (oneof
+         [
+           map Protocol.encode_request request_gen;
+           map Protocol.encode_response response_gen;
+         ]))
+
+let test_unframe_total =
+  qtest ~count:1000 "unframe is total and canonical" (Gen.hostile framed_gen)
+    Gen.hex
+    (Gen.total_decoder Wire.unframe (fun s body ->
+         s = Wire.frame ~version:0 body || s = Wire.frame body))
+
+(* One long-lived service fed junk: raw bytes that fail the checksum, and
+   checksummed junk bodies that reach the decoder and the service. Every
+   input must be answered with a readable reply, never an exception. *)
+let test_handle_raw_total () =
+  let service =
+    Service.create ~shards:2 ~check:true (Decomposition.best (Topology.ring 5))
+  in
+  Fun.protect
+    ~finally:(fun () -> Service.stop service)
+    (fun () ->
+      let conn = Service.attach service in
+      let input =
+        QCheck2.Gen.(
+          oneof
+            [
+              Gen.hostile framed_gen;
+              map Wire.frame
+                (Gen.hostile (map Protocol.encode_request request_gen));
+            ])
+      in
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~count:2000 ~name:"handle_raw is total"
+           ~print:Gen.hex input (fun raw ->
+             match Service.handle_raw service conn raw with
+             | reply -> (
+                 match
+                   Result.bind (Wire.unframe reply) Protocol.decode_response
+                 with
+                 | Ok _ -> true
+                 | Error e ->
+                     QCheck2.Test.fail_reportf "unreadable reply: %s" e)
+             | exception e ->
+                 QCheck2.Test.fail_reportf "handle_raw raised %s"
+                   (Printexc.to_string e))))
+
+(* ---------- frame reassembly ---------- *)
+
+let length_prefixed frames =
+  String.concat ""
+    (List.map
+       (fun f ->
+         let b = Bytes.create 4 in
+         Bytes.set_int32_be b 0 (Int32.of_int (String.length f));
+         Bytes.to_string b ^ f)
+       frames)
+
+let drain_frames buf =
+  let rec go acc =
+    match Frame.next buf with None -> List.rev acc | Some f -> go (f :: acc)
+  in
+  go []
+
+(* Many small frames in one read: extraction must not copy the rest of
+   the buffer per frame, which made draining quadratic. *)
+let test_frame_drain_linear () =
+  let count = 1000 in
+  let frame = String.make 16 'f' in
+  let wire =
+    Bytes.of_string (length_prefixed (List.init count (fun _ -> frame)))
+  in
+  let buf = Frame.buffer () in
+  Frame.feed buf wire (Bytes.length wire);
+  let before = Gc.allocated_bytes () in
+  let drained = ref 0 in
+  let rec go () =
+    match Frame.next buf with
+    | None -> ()
+    | Some f ->
+        if f <> frame then Alcotest.fail "frame corrupted";
+        incr drained;
+        go ()
+  in
+  go ();
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "all frames" count !drained;
+  if allocated > 4. *. float (Bytes.length wire) then
+    Alcotest.failf "draining %d bytes of frames allocated %.0f bytes"
+      (Bytes.length wire) allocated
+
+let test_frame_split_feeds () =
+  let frames =
+    [
+      "";
+      "a";
+      String.make 300 'b';
+      String.init 5000 (fun i -> Char.chr (i land 0xff));
+      "tail";
+    ]
+  in
+  let wire = Bytes.of_string (length_prefixed frames) in
+  let total = Bytes.length wire in
+  for cut = 0 to total do
+    let buf = Frame.buffer () in
+    Frame.feed buf (Bytes.sub wire 0 cut) cut;
+    let head = drain_frames buf in
+    Frame.feed buf (Bytes.sub wire cut (total - cut)) (total - cut);
+    if head @ drain_frames buf <> frames then
+      Alcotest.failf "split at byte %d" cut
+  done;
+  let buf = Frame.buffer () in
+  let got =
+    List.concat
+      (List.init total (fun i ->
+           Frame.feed buf (Bytes.sub wire i 1) 1;
+           drain_frames buf))
+  in
+  if got <> frames then Alcotest.fail "byte-at-a-time feed"
 
 (* ---------- service: dup / corrupt exactness ---------- *)
 
@@ -614,6 +906,19 @@ let () =
           Alcotest.test_case "wire versioning" `Quick test_wire_versioning;
           Alcotest.test_case "versioned vector frames" `Quick
             test_wire_versioned_vectors;
+          Alcotest.test_case "golden frames" `Quick test_golden_frames;
+          Alcotest.test_case "oversized counts rejected" `Quick
+            test_oversized_counts_rejected;
+          test_decode_request_total;
+          test_decode_response_total;
+          test_unframe_total;
+          Alcotest.test_case "handle_raw is total" `Quick test_handle_raw_total;
+        ] );
+      ( "frame",
+        [
+          Alcotest.test_case "draining is linear" `Quick
+            test_frame_drain_linear;
+          Alcotest.test_case "split feeds" `Quick test_frame_split_feeds;
         ] );
       ( "service",
         [
