@@ -83,6 +83,27 @@ let put_vector w v =
     reserve w (encoded_bytes v);
   w.len <- set_vector w.buf w.len v
 
+(* Delta coding: component [i] travels as the zigzag code of
+   [v.(i) - prev.(i)] (0, -1, 1, -2 -> 0, 1, 2, 3), with a shorter [prev]
+   read as padded with zeros. Deltas are kept inside ±2^61 so that every
+   code is a non-negative int; the reader refuses the one code outside
+   that range, so each vector has exactly one encoding. *)
+let max_delta = 1 lsl 61
+
+let put_delta_vector w ~prev v =
+  let n = Array.length v and m = Array.length prev in
+  if w.len + (max_varint * (n + 1)) > Bytes.length w.buf then
+    reserve w (max_varint * (n + 1));
+  let pos = ref (set_varint w.buf w.len n) in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get v i in
+    let d = x - if i < m then Array.unsafe_get prev i else 0 in
+    if x < 0 || d >= max_delta || d <= -max_delta then
+      invalid_arg "Wire.put_delta_vector: component or delta out of range";
+    pos := set_varint w.buf !pos ((d lsl 1) lxor (d asr (Sys.int_size - 1)))
+  done;
+  w.len <- !pos
+
 let put_string w s =
   let n = String.length s in
   put_varint w n;
@@ -155,6 +176,23 @@ let get_vector r =
   let v = Array.make n 0 in
   for i = 0 to n - 1 do
     Array.unsafe_set v i (get_varint r)
+  done;
+  v
+
+(* [prev]'s overlap is copied first and each delta added in place, so
+   the zero padding costs no per-component test. *)
+let get_delta_vector r ~prev =
+  let n = get_count r in
+  let v = Array.make n 0 in
+  Array.blit prev 0 v 0 (min n (Array.length prev));
+  for i = 0 to n - 1 do
+    let z = get_varint r in
+    let x = Array.unsafe_get v i + ((z lsr 1) lxor -(z land 1)) in
+    (* [z = max_int] is the delta -2^61, which no writer emits; a sum
+       past [max_int] wraps negative. *)
+    if x < 0 || z = max_int then
+      malformed "delta-coded component %d out of range before byte %d" i r.pos;
+    Array.unsafe_set v i x
   done;
   v
 

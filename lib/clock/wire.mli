@@ -39,6 +39,15 @@ val put_varint : writer -> int -> unit
 val put_vector : writer -> Vector.t -> unit
 (** The {!encode} layout: component count, then the components. *)
 
+val put_delta_vector : writer -> prev:Vector.t -> Vector.t -> unit
+(** [v] coded against the vector [prev] written before it: the component
+    count, then each component's delta [v.(i) - prev.(i)] as a zigzag
+    varint (0, -1, 1, -2 become 0, 1, 2, 3), a shorter [prev] read as
+    padded with zeros. Neighbouring stamps of one reply differ by far
+    less than their values, so most deltas take one byte. Raises
+    [Invalid_argument] on a negative component or a delta of magnitude
+    2^61 or more; components are message counts. *)
+
 val put_string : writer -> string -> unit
 (** Varint length, then the bytes. *)
 
@@ -66,6 +75,12 @@ val get_count : reader -> int
     allocate for it safely. *)
 
 val get_vector : reader -> Vector.t
+val get_delta_vector : reader -> prev:Vector.t -> Vector.t
+(** Inverse of {!put_delta_vector} against the same [prev]. A
+    reconstructed component that is negative or overflows, or a delta
+    outside the writer's range, fails, so only the canonical encoding
+    is accepted. *)
+
 val get_string : reader -> string
 val get_f64 : reader -> float
 

@@ -27,11 +27,12 @@ val dimension_used : Synts_sync.Trace.t -> int
     The batch path above re-solves closure + matching over the whole
     poset; [Stream] emits offline-style rank-vector stamps {e as messages
     arrive}, with memory bounded by the live window of
-    {!Synts_poset.Streaming_chains} (O(window²/word + chains), not O(M²)
-    closure bits) — per-process state is just the last message stamp of
-    each process. Streamed stamps are {e order-equivalent} to
-    {!timestamp_trace} on any trace: same {!precedes} / {!concurrent}
-    verdicts, with the batch path kept as the property-test oracle. The
+    {!Synts_poset.Streaming_chains} (O(window²/word + chains · (window +
+    chains)) words, not O(M²) closure bits) — per-process state is just
+    the last message stamp of each process. Streamed stamps are
+    {e order-equivalent} to {!timestamp_trace} on any trace: same
+    {!precedes} / {!concurrent} verdicts, with the batch path kept as
+    the property-test oracle. The
     vector dimension is the streaming chain count: equal to the width
     reached by the batch realizer on chain-friendly arrival orders, and
     never more than a small factor above it — still bounded by the
@@ -44,9 +45,12 @@ module Stream : sig
       {!Synts_poset.Streaming_chains.create}. *)
 
   val observe : t -> src:int -> dst:int -> Synts_clock.Vector.t
-  (** Stamp the next message of the linearization — O(live window) worst
-      case, O(chains) typical. The returned stamp is final. Raises
-      [Invalid_argument] on a bad channel. *)
+  (** Stamp the next message of the linearization: O(chains ·
+      window/word) words to build its ancestor row and find a direct
+      match, plus, when no ancestor is a free matching tail, one
+      augmenting search of O(visited rows · window/word) words. The
+      returned stamp is final. Raises [Invalid_argument] on a bad
+      channel. *)
 
   val processes : t -> int
   val messages : t -> int

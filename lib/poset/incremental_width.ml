@@ -42,7 +42,7 @@ let augment t visited r =
           (not visited.(u))
           && begin
                visited.(u) <- true;
-               f u
+               f r u
              end)
         t.ancestors.(r))
     ~pair_left:t.pair_left ~pair_right:t.pair_right r

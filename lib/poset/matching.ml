@@ -67,24 +67,27 @@ let maximum_rows ~left ~right ~iter ~find =
 (* One Kuhn augmenting search from right vertex [r], shared by the
    incremental maintainers (Incremental_width, Streaming_chains): adding a
    single right vertex grows the maximum matching by at most one, so one
-   search restores maximality. [find r f] iterates [r]'s not-yet-visited
-   left neighbours (marking each visited before applying [f]) and stops at
-   the first acceptance; visited bookkeeping stays with the caller so the
-   kernel works over int sets, bitsets, or epoch arrays alike. A left
-   vertex whose [pair_left] is negative-but-not-free (the streaming
-   structure marks partners of retired elements with [-2]) is treated as
-   unavailable: its matched edge can no longer be re-routed. *)
+   search restores maximality. [find r f] presents [r]'s not-yet-visited
+   left neighbours [u] in increasing order, marking each visited before
+   calling [f r u], and stops at the first acceptance; visited
+   bookkeeping stays with the caller so the kernel works over int sets,
+   bitsets, or epoch arrays alike. [f] takes the row's right vertex as an
+   argument, so the search builds one closure per call and none per
+   row. A left vertex whose [pair_left] is negative-but-not-free (the
+   streaming structure marks partners of retired elements with [-2]) is
+   treated as unavailable: its matched edge can no longer be
+   re-routed. *)
 let augment_from ~find ~pair_left ~pair_right r =
-  let rec go r =
-    find r (fun u ->
-        if pair_left.(u) = -1 || (pair_left.(u) >= 0 && go pair_left.(u)) then begin
-          pair_left.(u) <- r;
-          pair_right.(r) <- u;
-          true
-        end
-        else false)
+  let rec take r u =
+    let p = pair_left.(u) in
+    (p = -1 || (p >= 0 && find p take))
+    && begin
+         pair_left.(u) <- r;
+         pair_right.(r) <- u;
+         true
+       end
   in
-  go r
+  find r take
 
 let min_vertex_cover_rows ~left ~right ~iter { pair_left; pair_right; size = _ }
     =

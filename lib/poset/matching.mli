@@ -28,7 +28,7 @@ val maximum_rows :
     {!maximum} on the same graph. *)
 
 val augment_from :
-  find:(int -> (int -> bool) -> bool) ->
+  find:(int -> (int -> int -> bool) -> bool) ->
   pair_left:int array ->
   pair_right:int array ->
   int ->
@@ -39,10 +39,14 @@ val augment_from :
     order, adding one right vertex grows the maximum matching by at most
     one, so a single search restores maximality — the incremental
     maintainers ({!Incremental_width}, {!Streaming_chains}) call this once
-    per insertion. [find r f] must visit [r]'s {e not-yet-visited} left
-    neighbours, marking each visited before applying [f], and stop at the
-    first acceptance (the caller owns the visited set; it must be fresh
-    per call). Left vertices with a negative non-[-1] [pair_left] entry
+    per insertion. [find r f] must present [r]'s {e not-yet-visited} left
+    neighbours [u] in increasing order, marking each visited before
+    calling [f r u], and stop at the first acceptance (the caller owns
+    the visited set; it must be fresh per call). Because [f] receives
+    the row's right vertex, the search allocates one closure per call
+    and none per visited row. A successful search ends at the first free
+    left vertex it visits, so exactly one visited vertex went from free
+    to matched. Left vertices with a negative non-[-1] [pair_left] entry
     are treated as matched-but-frozen (partner retired) and never
     re-routed. *)
 

@@ -37,7 +37,19 @@ let no_info = { chain = -1; opened = false; matched = false; visited = 0; retire
    the inserted prefix) also lives in slot space: [pair_left.(u)] is the
    slot matched as left u's successor, [pair_right.(r)] the slot matched
    as right r's predecessor; -1 free, -2 matched to a retired element
-   (the pair still counts, but its edge can never be re-routed). *)
+   (the pair still counts, but its edge can never be re-routed).
+
+   Two invariants make an insert cost O(chains · window/word) words:
+   - every live row [anc.(u)] holds exactly u's live strict ancestors —
+     it is built at insert and afterwards only loses retired bits;
+   - a chain's live elements are a contiguous range of ranks ending at
+     its tail: [make_room] retires the oldest slots first, and within a
+     chain insertion order is rank order.
+   So the new element's row is the union, over chains c, of the live
+   slot holding rank [base.(c)] and that slot's row; if that rank has
+   retired, so has every lower rank of c. [tops.(c)] finds that slot:
+   a ring of [window] slots indexed by rank mod window, in which no two
+   live elements of one chain collide. *)
 type t = {
   window : int;
   (* Chains: never relinked, only appended to — the append-only invariant
@@ -45,8 +57,8 @@ type t = {
   mutable dim : int;
   mutable lengths : int array;  (* per chain, elements so far *)
   mutable tail_seq : int array;  (* per chain, insertion seq of its tail *)
-  mutable tail_slot : int array;  (* live slot of the tail, -1 if retired *)
   mutable tail_stamp : stamp array;  (* the tail's emitted stamp *)
+  mutable tops : int array array;  (* per chain, slot by rank mod window *)
   (* Live window. *)
   chain_of : int array;
   rank_of : int array;  (* 1-based rank within its chain *)
@@ -55,6 +67,7 @@ type t = {
   pair_left : int array;
   pair_right : int array;
   live : Bitset.t;
+  free_left : Bitset.t;  (* live slots whose pair_left is -1 *)
   free : int array;  (* free-slot stack *)
   mutable free_top : int;
   vis : Bitset.t;  (* augment scratch: left nodes visited this search *)
@@ -73,8 +86,8 @@ let create ?(window = 1024) () =
     dim = 0;
     lengths = [||];
     tail_seq = [||];
-    tail_slot = [||];
     tail_stamp = [||];
+    tops = [||];
     chain_of = Array.make window (-1);
     rank_of = Array.make window 0;
     seq_of = Array.make window 0;
@@ -82,6 +95,7 @@ let create ?(window = 1024) () =
     pair_left = Array.make window (-1);
     pair_right = Array.make window (-1);
     live = Bitset.create window;
+    free_left = Bitset.create window;
     free = Array.init window (fun i -> window - 1 - i);
     free_top = window;
     vis = Bitset.create window;
@@ -105,14 +119,17 @@ let chain_length t c =
   if c < 0 || c >= t.dim then invalid_arg "Streaming_chains.chain_length";
   t.lengths.(c)
 
-(* Words held live by the structure, by construction O(window² / word_size
-   + chains): the slot arrays, the per-slot ancestor bitsets, and the
-   chain arrays. Independent of the number of elements inserted. *)
+(* Words held live by the structure, by construction
+   O(window² / word_size + chains · (window + chains)): the slot arrays,
+   the per-slot ancestor bitsets, the chain arrays with each chain's
+   rank ring, and the tail stamps. Independent of the number of
+   elements inserted. *)
 let live_words t =
   let bitset_words = (t.window + Sys.int_size - 1) / Sys.int_size + 2 in
   (6 * (t.window + 1)) (* chain_of rank_of seq_of pair_* free *)
-  + ((t.window + 3) * bitset_words) (* anc + live + vis + gone *)
-  + (3 * (Array.length t.lengths + 1)) (* chain arrays *)
+  + ((t.window + 4) * bitset_words) (* anc + live + free_left + vis + gone *)
+  + (4 * (Array.length t.lengths + 1)) (* chain arrays *)
+  + (t.dim * (t.window + 1)) (* rank rings *)
   + Array.fold_left (fun acc s -> acc + Array.length s + 1) 0 t.tail_stamp
 
 let ensure_chain_capacity t =
@@ -126,14 +143,23 @@ let ensure_chain_capacity t =
     in
     t.lengths <- copy t.lengths 0;
     t.tail_seq <- copy t.tail_seq (-1);
-    t.tail_slot <- copy t.tail_slot (-1);
     let stamps = Array.make bigger [||] in
     Array.blit t.tail_stamp 0 stamps 0 cap;
-    t.tail_stamp <- stamps
+    t.tail_stamp <- stamps;
+    let tops = Array.make bigger [||] in
+    Array.blit t.tops 0 tops 0 cap;
+    t.tops <- tops
   end
+
+(* The live slot holding rank [k] of chain [c], or -1 once it retired:
+   a ring entry is stale when its slot retired or was recycled. *)
+let slot_of_rank t c k =
+  let u = t.tops.(c).(k mod t.window) in
+  if u >= 0 && t.chain_of.(u) = c && t.rank_of.(u) = k then u else -1
 
 let retire_slot t v =
   Bitset.remove t.live v;
+  Bitset.remove t.free_left v;
   Bitset.add t.gone v;
   Bitset.clear t.anc.(v);
   (* Freeze matched partners: their edges survive in [matching] but can
@@ -144,12 +170,13 @@ let retire_slot t v =
   if u >= 0 then t.pair_left.(u) <- -2;
   t.pair_left.(v) <- -1;
   t.pair_right.(v) <- -1;
-  let c = t.chain_of.(v) in
-  if c >= 0 && t.tail_slot.(c) = v then t.tail_slot.(c) <- -1;
   t.chain_of.(v) <- -1;
   t.free.(t.free_top) <- v;
   t.free_top <- t.free_top + 1;
   t.retired <- t.retired + 1
+
+(* A live slot is its chain's tail iff its rank is the chain's length. *)
+let is_tail t v = t.rank_of.(v) = t.lengths.(t.chain_of.(v))
 
 (* Frontier retirement: when the window fills, drop the oldest half of the
    live prefix (each live chain has advanced past it, or soon will), oldest
@@ -171,7 +198,7 @@ let make_room t =
   let remaining = ref count in
   Array.iter
     (fun v ->
-      if !remaining > target && t.tail_slot.(t.chain_of.(v)) <> v then begin
+      if !remaining > target && not (is_tail t v) then begin
         retire_slot t v;
         decr remaining
       end)
@@ -204,16 +231,33 @@ let merge_base t preds =
     preds;
   base
 
-(* The new element's live ancestors, read off the chain-prefix invariant:
-   slot u (chain c, rank k) is below the new element iff the merged
-   predecessor stamp already counts k elements of chain c — one O(1) test
-   per live slot, no closure row consulted. *)
+(* The new element's live ancestors: for each chain, the live slot
+   holding rank [base.(c)] and its row (see the type's invariants) —
+   O(chains · window/word) words, no per-slot test. *)
 let ancestors_of_base t base s =
   let a = t.anc.(s) in
-  Bitset.iter
-    (fun u -> if base.(t.chain_of.(u)) >= t.rank_of.(u) then Bitset.add a u)
-    t.live;
+  for c = 0 to Array.length base - 1 do
+    if base.(c) > 0 then begin
+      let u = slot_of_rank t c base.(c) in
+      if u >= 0 then begin
+        Bitset.union_into ~dst:a t.anc.(u);
+        Bitset.add a u
+      end
+    end
+  done;
   a
+
+(* The repair search's adjacency ({!Matching.augment_from}): right node
+   [r]'s unvisited left neighbours from [from] up, each marked visited
+   before [f] sees it; [f] may visit more, so each step re-reads the
+   visited set. *)
+let rec scan_row t r f from =
+  let u = Bitset.first_diff ~from t.anc.(r) t.vis in
+  u >= 0
+  && begin
+       Bitset.add t.vis u;
+       f r u || scan_row t r f (u + 1)
+     end
 
 let insert t ~preds =
   let retired_now = t.retired in
@@ -222,43 +266,33 @@ let insert t ~preds =
   t.free_top <- t.free_top - 1;
   let s = t.free.(t.free_top) in
   let anc = ancestors_of_base t base s in
-  (* Patience tier: an unmatched ancestor (a matching-chain tail) takes
-     the new element directly. *)
+  (* Patience tier: the lowest unmatched ancestor (a matching-chain
+     tail) takes the new element directly. *)
+  let direct = Bitset.first_inter anc t.free_left in
   let visits = ref 0 in
-  let direct =
-    Bitset.exists
-      (fun u ->
-        t.pair_left.(u) = -1
-        && begin
-             t.pair_left.(u) <- s;
-             t.pair_right.(s) <- u;
-             true
-           end)
-      anc
-  in
   let matched =
-    direct
-    ||
-    (* Repair tier: one full augmenting-path search re-routes existing
-       matched edges inside the live window. *)
-    if Bitset.is_empty anc then false
+    if direct >= 0 then begin
+      t.pair_left.(direct) <- s;
+      t.pair_right.(s) <- direct;
+      Bitset.remove t.free_left direct;
+      true
+    end
+    else if Bitset.is_empty anc then false
     else begin
+      (* Repair tier: one full augmenting-path search re-routes existing
+         matched edges inside the live window. A successful path ends
+         at the one free left node it visited, which it uses up. *)
       t.repairs <- t.repairs + 1;
       Bitset.clear t.vis;
-      (* [exists_diff] skips already-visited left nodes at word
-         granularity, so one search costs O(visited rows · window/word)
-         words, not O(visited rows · row popcount) per-bit calls — the
-         difference between quadratic and near-linear repair on dense
-         windows. *)
-      Matching.augment_from
-        ~find:(fun r f ->
-          Bitset.exists_diff
-            (fun u ->
-              Bitset.add t.vis u;
-              incr visits;
-              f u)
-            t.anc.(r) t.vis)
-        ~pair_left:t.pair_left ~pair_right:t.pair_right s
+      let grew =
+        Matching.augment_from
+          ~find:(fun r f -> scan_row t r f 0)
+          ~pair_left:t.pair_left ~pair_right:t.pair_right s
+      in
+      visits := Bitset.cardinal t.vis;
+      if grew then
+        Bitset.remove t.free_left (Bitset.first_inter t.vis t.free_left);
+      grew
     end
   in
   if matched then t.matching <- t.matching + 1;
@@ -291,8 +325,7 @@ let insert t ~preds =
         let pref =
           if matched && u >= 0 then
             let c = t.chain_of.(u) in
-            if t.tail_slot.(c) = u && List.mem c cands && maximal c then c
-            else -1
+            if is_tail t u && List.mem c cands && maximal c then c else -1
           else -1
         in
         if pref >= 0 then pref
@@ -315,6 +348,7 @@ let insert t ~preds =
       let c = t.dim in
       t.dim <- t.dim + 1;
       t.lengths.(c) <- 0;
+      t.tops.(c) <- Array.make t.window (-1);
       c
     end
     else candidate
@@ -324,12 +358,13 @@ let insert t ~preds =
   t.lengths.(c) <- t.lengths.(c) + 1;
   out.(c) <- t.lengths.(c);
   t.tail_seq.(c) <- t.size;
-  t.tail_slot.(c) <- s;
   t.tail_stamp.(c) <- out;
+  t.tops.(c).(t.lengths.(c) mod t.window) <- s;
   t.chain_of.(s) <- c;
   t.rank_of.(s) <- t.lengths.(c);
   t.seq_of.(s) <- t.size;
   Bitset.add t.live s;
+  Bitset.add t.free_left s;
   t.size <- t.size + 1;
   t.last <-
     {

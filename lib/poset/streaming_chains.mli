@@ -33,8 +33,20 @@
     retired: its closure rows are dropped and its matched edges frozen.
     Stamps are unaffected; {!width} decays from exact (Dilworth, while
     {!exact}) to an upper bound, because a frozen edge can no longer be
-    re-routed. Memory is O(window²/word + chains), independent of the
-    number of elements inserted — see {!live_words}. *)
+    re-routed.
+
+    {b Word-parallel insert.} Every live row holds exactly its slot's
+    live ancestors, and a chain's live elements are a contiguous range
+    of ranks ending at its tail (retirement takes the oldest first, and
+    a chain's insertion order is its rank order). So the new element's
+    row is the union, over chains c, of the live slot of rank
+    [base.(c)] and that slot's row, found through a per-chain ring of
+    [window] slots indexed by rank mod window. A set of the live slots
+    still free on the left side of the matching turns the direct match
+    into one word-parallel intersection. Memory is
+    O(window²/word + chains · (window + chains)) words: rows, rings and
+    tail stamps, independent of the number of elements inserted — see
+    {!live_words}. *)
 
 type t
 
@@ -63,9 +75,13 @@ val insert : t -> preds:stamp list -> stamp
 (** Insert the next element of the linear extension, given the stamps of
     a generating set of its predecessors (immediate predecessors suffice:
     any set whose down-sets union to the element's full strict down-set).
-    Returns the element's final stamp. O(live + chains) plus one
-    augmenting-path search. Raises [Invalid_argument] if a stamp could
-    not have been emitted by this structure. *)
+    Returns the element's final stamp. O(chains · window/word) words for
+    the ancestor row and the direct match, plus, when no ancestor is a
+    free matching tail, one augmenting search of O(visited rows ·
+    window/word) words that allocates two closures and nothing per
+    visited row. Raises
+    [Invalid_argument] if a stamp could not have been emitted by this
+    structure. *)
 
 val size : t -> int
 (** Elements inserted so far. *)
@@ -95,9 +111,12 @@ val repairs : t -> int
     tier found no free ancestor). *)
 
 val live_words : t -> int
-(** Estimated heap words held live by the structure — O(window²/word_size
-    + chains), independent of {!size}. The streaming pipeline's memory
-    claim is benchmarked against this. *)
+(** Estimated heap words held live by the structure —
+    O(window²/word_size + chains · (window + chains)): slot arrays,
+    ancestor rows, the free-left and scratch sets, one rank ring of
+    [window] slots per chain and the tail stamps. Independent of
+    {!size}. The streaming pipeline's memory claim is benchmarked
+    against this. *)
 
 val last_info : t -> info
 (** Attribution of the most recent {!insert}. *)

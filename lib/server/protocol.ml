@@ -93,19 +93,48 @@ let decode_request s = Wire.parse s get_request
 
 (* {2 Responses} *)
 
-(* Stamps of one batch carry counters of similar size, so the first
-   one's encoding times the outcome count sizes the buffer; the writer
-   grows if a later stamp is longer. *)
+(* [Outcomes] and [Resolved] write their stamps in order: the first as
+   a plain {!Wire} vector, every later one delta-coded against the one
+   written just before it in the same reply. Stamps of one batch differ
+   by far less than their values, so a reply stops growing with how far
+   into the stream its stamps lie. *)
+type stamps = { mutable started : bool; mutable last : Vector.t }
+
+let stamps () = { started = false; last = [||] }
+
+let put_stamp w st v =
+  if st.started then Wire.put_delta_vector w ~prev:st.last v
+  else begin
+    Wire.put_vector w v;
+    st.started <- true
+  end;
+  st.last <- v
+
+let get_stamp r st =
+  let v =
+    if st.started then Wire.get_delta_vector r ~prev:st.last
+    else begin
+      st.started <- true;
+      Wire.get_vector r
+    end
+  in
+  st.last <- v;
+  v
+
+(* The first stamp's full encoding plus two bytes per component for
+   each later one (deltas under 2^13) sizes the buffer, so the writer
+   seldom grows. *)
 let outcomes_capacity outcomes =
   let stamp =
     Array.find_map
       (function Ingest.Stamped v -> Some v | Ingest.Deferred _ -> None)
       outcomes
   in
-  let per =
-    match stamp with Some v -> 1 + Wire.encoded_bytes v | None -> 4
-  in
-  8 + (Array.length outcomes * per)
+  match stamp with
+  | Some v ->
+      8 + Wire.encoded_bytes v
+      + (Array.length outcomes * (2 + (2 * Array.length v)))
+  | None -> 8 + (Array.length outcomes * 4)
 
 let encode_response r =
   let w =
@@ -120,30 +149,32 @@ let encode_response r =
       Wire.put_varint w shards;
       Wire.put_varint w epoch
   | Outcomes outcomes ->
-      Wire.put_byte w 1;
+      Wire.put_byte w 8;
       Wire.put_varint w (Array.length outcomes);
-      Array.iter
-        (function
-          | Ingest.Stamped v ->
-              Wire.put_byte w 0;
-              Wire.put_vector w v
-          | Ingest.Deferred ticket ->
-              Wire.put_byte w 1;
-              Wire.put_varint w ticket)
-        outcomes
+      let st = stamps () in
+      for i = 0 to Array.length outcomes - 1 do
+        match outcomes.(i) with
+        | Ingest.Stamped v ->
+            Wire.put_byte w 0;
+            put_stamp w st v
+        | Ingest.Deferred ticket ->
+            Wire.put_byte w 1;
+            Wire.put_varint w ticket
+      done
   | Resolved resolved ->
-      Wire.put_byte w 2;
+      Wire.put_byte w 9;
       Wire.put_varint w (List.length resolved);
+      let st = stamps () in
       List.iter
         (fun (ticket, (stamp : Internal_events.stamp)) ->
           Wire.put_varint w ticket;
           Wire.put_varint w stamp.proc;
-          Wire.put_vector w stamp.prev;
+          put_stamp w st stamp.prev;
           (match stamp.succ with
           | None -> Wire.put_byte w 0
           | Some v ->
               Wire.put_byte w 1;
-              Wire.put_vector w v);
+              put_stamp w st v);
           Wire.put_varint w stamp.counter)
         resolved
   | Verified { ok; checked } ->
@@ -169,20 +200,20 @@ let encode_response r =
       Wire.put_varint w dimension);
   Wire.contents w
 
-let get_outcome r =
+let get_outcome r st =
   match Wire.get_byte r with
-  | 0 -> Ingest.Stamped (Wire.get_vector r)
+  | 0 -> Ingest.Stamped (get_stamp r st)
   | 1 -> Ingest.Deferred (Wire.get_varint r)
   | k -> Wire.malformed "unknown outcome kind %d" k
 
-let get_resolved r =
+let get_resolved r st =
   let ticket = Wire.get_varint r in
   let proc = Wire.get_varint r in
-  let prev = Wire.get_vector r in
+  let prev = get_stamp r st in
   let succ =
     match Wire.get_byte r with
     | 0 -> None
-    | 1 -> Some (Wire.get_vector r)
+    | 1 -> Some (get_stamp r st)
     | f -> Wire.malformed "unknown succ flag %d" f
   in
   let counter = Wire.get_varint r in
@@ -196,12 +227,6 @@ let get_response r =
       let shards = Wire.get_varint r in
       let epoch = Wire.get_varint r in
       Welcome { processes; dimension; shards; epoch }
-  | 1 ->
-      let count = Wire.get_count r in
-      Outcomes (Array.init count (fun _ -> get_outcome r))
-  | 2 ->
-      let count = Wire.get_count r in
-      Resolved (List.init count (fun _ -> get_resolved r))
   | 3 ->
       let ok = Wire.get_bool r in
       let checked = Wire.get_varint r in
@@ -221,6 +246,14 @@ let get_response r =
       let processes = Wire.get_varint r in
       let dimension = Wire.get_varint r in
       Epoch_r { epoch; processes; dimension }
+  | 8 ->
+      let count = Wire.get_count r in
+      let st = stamps () in
+      Outcomes (Array.init count (fun _ -> get_outcome r st))
+  | 9 ->
+      let count = Wire.get_count r in
+      let st = stamps () in
+      Resolved (List.init count (fun _ -> get_resolved r st))
   | t -> Wire.malformed "unknown response tag %d" t
 
 let decode_response s = Wire.parse s get_response

@@ -8,6 +8,15 @@
     the checksum before decoding and version mismatches are rejected
     with a clear error.
 
+    The stamps of an [Outcomes] or [Resolved] reply are written in
+    order, the first as a plain vector and every later one delta-coded
+    against the vector written just before it
+    ({!Synts_clock.Wire.put_delta_vector}), so a reply's size follows
+    how far its stamps lie apart, not how far into the stream they
+    lie. These two layouts carry tags 8 and 9; the plain layouts'
+    tags 1 and 2 are refused, so a peer built from an older tree fails
+    with ["unknown response tag"] instead of reading deltas as counts.
+
     [Observe] carries a client-chosen sequence number: the server
     answers a replayed (duplicated or retransmitted) sequence from its
     reply cache instead of stamping twice, which is what keeps

@@ -77,55 +77,61 @@ let equal a b =
   in
   go 0
 
+(* Lowest set bit of a non-zero word in constant steps: [x land (-x)]
+   isolates it, and multiplying that power of two by this de Bruijn
+   constant leaves a distinct pattern in bits 57..62 for each of the 63
+   positions of an OCaml int, the sign bit (62) included. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let debruijn_position =
+  let table = Array.make 64 0 in
+  for i = 0 to bits_per_word - 1 do
+    table.(((1 lsl i) * debruijn) lsr 57) <- i
+  done;
+  table
+
+let lowest_bit x =
+  Array.unsafe_get debruijn_position (((x land (-x)) * debruijn) lsr 57)
+
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    let word = ref (Array.unsafe_get t.words w) in
+    while !word <> 0 do
+      f ((w * bits_per_word) + lowest_bit !word);
+      word := !word land (!word - 1)
+    done
   done
 
-let exists f t =
-  let found = ref false in
-  let w = ref 0 in
-  let nwords = Array.length t.words in
-  while (not !found) && !w < nwords do
-    let word = ref t.words.(!w) in
-    while (not !found) && !word <> 0 do
-      (* Isolate the lowest set bit, test it, then strip it. *)
-      let b =
-        let rec lowest i x = if x land 1 <> 0 then i else lowest (i + 1) (x lsr 1) in
-        lowest 0 !word
-      in
-      if f ((!w * bits_per_word) + b) then found := true
-      else word := !word land (!word - 1)
-    done;
-    incr w
-  done;
-  !found
-
-let exists_diff f a b =
+let first_inter a b =
   same_capacity a b;
-  let found = ref false in
-  let w = ref 0 in
-  let nwords = Array.length a.words in
-  while (not !found) && !w < nwords do
-    (* Re-mask after every call: [f] may add elements to [b] (e.g. a
-       visited set growing during a recursive search), and those must not
-       be presented again. *)
-    let word = ref (a.words.(!w) land lnot b.words.(!w)) in
-    while (not !found) && !word <> 0 do
-      let b' =
-        let rec lowest i x = if x land 1 <> 0 then i else lowest (i + 1) (x lsr 1) in
-        lowest 0 !word
-      in
-      if f ((!w * bits_per_word) + b') then found := true
-      else word := a.words.(!w) land lnot b.words.(!w) land (!word land (!word - 1))
-    done;
+  let n = Array.length a.words in
+  let w = ref 0 and x = ref 0 in
+  while !x = 0 && !w < n do
+    x := Array.unsafe_get a.words !w land Array.unsafe_get b.words !w;
     incr w
   done;
-  !found
+  if !x = 0 then -1 else ((!w - 1) * bits_per_word) + lowest_bit !x
+
+let first_diff ~from a b =
+  same_capacity a b;
+  if from < 0 then invalid_arg "Bitset.first_diff: negative start";
+  if from >= a.n then -1
+  else begin
+    let n = Array.length a.words in
+    let w = ref (from / bits_per_word) in
+    let x =
+      ref
+        (Array.unsafe_get a.words !w
+        land lnot (Array.unsafe_get b.words !w)
+        land (-1 lsl (from mod bits_per_word)))
+    in
+    incr w;
+    while !x = 0 && !w < n do
+      x := Array.unsafe_get a.words !w land lnot (Array.unsafe_get b.words !w);
+      incr w
+    done;
+    if !x = 0 then -1 else ((!w - 1) * bits_per_word) + lowest_bit !x
+  end
 
 let fold f t init =
   let acc = ref init in

@@ -53,19 +53,23 @@ val equal : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
 (** Iterate elements in increasing order. *)
 
-val exists : (int -> bool) -> t -> bool
-(** Short-circuiting search in increasing order: true as soon as [f]
-    accepts an element. The augmenting-path searches of the incremental
-    matching kernels use this as their adjacency scan. *)
+val lowest_bit : int -> int
+(** [lowest_bit x] is the position (0 to 62) of the lowest set bit of a
+    non-zero word, found in constant steps by a de Bruijn multiply;
+    bit 62 is the sign bit. Undefined for [0]. {!iter} and the searches
+    below use it. *)
 
-val exists_diff : (int -> bool) -> t -> t -> bool
-(** [exists_diff f a b] is {!exists} over [a \ b] without materialising
-    the difference — visited bits are skipped at word granularity. [f]
-    may add elements to [b] while the search runs (the membership is
-    re-read after every call), which is how the streaming matching kernel
-    marks nodes visited: each element of [a] is then presented at most
-    once per search {e across all rows} sharing the same [b].
+val first_inter : t -> t -> int
+(** [first_inter a b] is the smallest element of [a ∩ b], or [-1] when
+    they are disjoint, without materialising the intersection.
     Capacities must match. *)
+
+val first_diff : from:int -> t -> t -> int
+(** [first_diff ~from a b] is the smallest element of [a \ b] that is at
+    least [from] ([from >= 0]), or [-1] when there is none; bits are
+    skipped a word at a time. The streaming matching kernel walks one
+    ancestor row minus its visited set with it, calling again from one
+    past the last answer after [b] has grown. Capacities must match. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over elements in increasing order. *)

@@ -431,14 +431,12 @@ let test_streaming_known () =
   Alcotest.(check int) "tiny-window chain" 1 (Streaming_chains.chains t);
   Alcotest.(check bool) "tiny window retired" false (Streaming_chains.exact t)
 
-(* Insert a random poset in linear-extension order and require the emitted
-   stamps to encode exactly the poset order — the core claim that makes the
-   streaming offline pipeline sound. *)
-let streaming_encodes ?window p =
-  let n = Poset.size p in
+(* Insert [p] in linear-extension order; returns the structure, the order
+   and each element's stamp. *)
+let stream_poset ?window p =
   let order = Poset.linear_extension p in
   let t = Streaming_chains.create ?window () in
-  let stamp = Array.make n [||] in
+  let stamp = Array.make (Poset.size p) [||] in
   Array.iteri
     (fun idx v ->
       let preds =
@@ -448,6 +446,14 @@ let streaming_encodes ?window p =
       in
       stamp.(v) <- Streaming_chains.insert t ~preds)
     order;
+  (t, order, stamp)
+
+(* Insert a random poset in linear-extension order and require the emitted
+   stamps to encode exactly the poset order — the core claim that makes the
+   streaming offline pipeline sound. *)
+let streaming_encodes ?window p =
+  let n = Poset.size p in
+  let t, _, stamp = stream_poset ?window p in
   let ok = ref true in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
@@ -466,9 +472,75 @@ let test_streaming_encodes_poset =
   qtest ~count:200 "streaming stamps encode the poset" Gen.poset poset_print
     (fun p -> streaming_encodes p)
 
+(* Windows 2 and 3 fill on almost every insert, so [make_room]'s
+   all-tails pass (every live slot a chain tail) fires too. *)
 let test_streaming_encodes_poset_small_window =
   qtest ~count:200 "streaming stamps encode the poset under retirement"
-    Gen.poset poset_print (fun p -> streaming_encodes ~window:8 p)
+    Gen.poset poset_print (fun p ->
+      streaming_encodes ~window:8 p
+      && streaming_encodes ~window:3 p
+      && streaming_encodes ~window:2 p)
+
+(* ---------- golden stamps ----------
+
+   Digests of every stamp the streaming pipeline emitted before its
+   insert was made word-parallel (ancestor rows from chain tops, the
+   free-left set). Any change to placement, matching or retirement
+   order changes a digest. *)
+
+let stamp_digest stamps =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun s ->
+      Array.iter (fun c -> Buffer.add_string b (string_of_int c ^ ",")) s;
+      Buffer.add_char b ';')
+    stamps;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A seeded 20k-message stream on cs:8x248, the offline-cs topology,
+   through [Offline.Stream] unpadded. *)
+let cs_stream_digest ~window =
+  let g = Synts_graph.Topology.client_server ~servers:8 ~clients:248 in
+  let trace =
+    Synts_workload.Workload.random (Synts_util.Rng.create 15) ~topology:g
+      ~messages:20_000 ()
+  in
+  let s = Synts_core.Offline.Stream.create ~window ~n:256 () in
+  stamp_digest
+    (Array.to_list
+       (Array.map
+          (fun (m : Synts_sync.Trace.message) ->
+            Synts_core.Offline.Stream.observe s ~src:m.src ~dst:m.dst)
+          (Synts_sync.Trace.messages trace)))
+
+(* 200 posets drawn like [Gen.poset] (up to 40 elements, edge
+   probability up to 0.5), each streamed at every window the
+   [streaming_encodes] properties use. *)
+let posets_digest () =
+  let rng = Synts_util.Rng.create 42 in
+  let stamps = ref [] in
+  for _ = 1 to 200 do
+    let n = Synts_util.Rng.int rng 41 in
+    let seed = Synts_util.Rng.int rng 1_000_000 in
+    let prob = 0.5 *. Synts_util.Rng.float rng in
+    let p = Poset.random (Synts_util.Rng.create seed) n prob in
+    List.iter
+      (fun window ->
+        let _, order, stamp = stream_poset ~window p in
+        Array.iter (fun v -> stamps := stamp.(v) :: !stamps) order)
+      [ 2; 3; 8; 1024 ]
+  done;
+  stamp_digest (List.rev !stamps)
+
+let test_streaming_golden () =
+  Alcotest.(check string) "cs:8x248 20k messages, window 1024"
+    "5612ebbf1dfbb78c670d0f7ee69f3764" (cs_stream_digest ~window:1024);
+  Alcotest.(check string) "cs:8x248 20k messages, window 3"
+    "2088935e3bb363e5a1c864fa9847e8c8"
+    (cs_stream_digest ~window:3);
+  Alcotest.(check string) "random posets, windows 2/3/8/1024"
+    "d0158d58a991db56b63770bd08d8e7ac"
+    (posets_digest ())
 
 let () =
   Alcotest.run "poset"
@@ -481,6 +553,7 @@ let () =
       ( "streaming-chains",
         [
           Alcotest.test_case "boundaries" `Quick test_streaming_known;
+          Alcotest.test_case "golden stamps" `Quick test_streaming_golden;
           test_streaming_encodes_poset;
           test_streaming_encodes_poset_small_window;
         ] );

@@ -5,6 +5,7 @@ module Vector = Synts_clock.Vector
 module Wire = Synts_clock.Wire
 module Online = Synts_core.Online
 module Ingest = Synts_ingest.Ingest
+module Offline_sink = Synts_ingest.Offline_sink
 module Shard = Synts_server.Shard
 module Engine = Synts_server.Engine
 module Protocol = Synts_server.Protocol
@@ -143,7 +144,12 @@ let test_engine_batch_split_invariant =
 
 (* ---------- protocol codec ---------- *)
 
-let vector_gen = QCheck2.Gen.(array_size (int_bound 6) (int_bound 1000))
+(* Components up to 2^61 - 1 reach the delta coder's range limits
+   (any two differ by less than 2^61) without leaving it. *)
+let vector_gen =
+  QCheck2.Gen.(
+    array_size (int_bound 6)
+      (oneof [ int_bound 1000; int_bound ((1 lsl 61) - 1) ]))
 
 let event_gen =
   QCheck2.Gen.(
@@ -265,7 +271,10 @@ let test_wire_versioned_vectors () =
 
 (* One of each request and response, with the v0 and v1 frames the
    previous codec produced for them: recorded v0 traffic and clients
-   built from older trees must keep interoperating byte for byte. *)
+   built from older trees must keep interoperating byte for byte. The
+   [Outcomes] and [Resolved] frames are the exception: they were
+   re-recorded when those replies moved to delta-coded stamps under
+   tags 8 and 9. *)
 let golden_requests =
   [
     (Protocol.Hello, "9fbab12800");
@@ -295,7 +304,17 @@ let golden_responses =
       "82ade5f902008002080201" );
     ( Protocol.Outcomes
         [| Ingest.Stamped [| 0; 1; 127; 128; 16384 |]; Ingest.Deferred 5 |],
-      "99c799f20b0102000500017f80018080010105" );
+      "d4e4e883040802000500017f80018080010105" );
+    (* Later stamps widen, narrow and step down: deltas against the
+       stamp before, a shorter one read as zero-padded. *)
+    ( Protocol.Outcomes
+        [|
+          Ingest.Stamped [| 3; 200 |];
+          Ingest.Deferred 7;
+          Ingest.Stamped [| 2; 200; 1 |];
+          Ingest.Stamped [| 2 |];
+        |],
+      "dcfcd9f80c0804000203c80101070003010002000100" );
     ( Protocol.Resolved
         [
           ( 5,
@@ -313,7 +332,7 @@ let golden_responses =
               counter = 0;
             } );
         ],
-      "8ac6ced60402020502020102010203ac020106000200000000" );
+      "96a79fc90d09020502020102010204d4040106000205d7040000" );
     (Protocol.Verified { ok = true; checked = 42 }, "d99ce9cc0c03012a");
     ( Protocol.Stats_r
         {
@@ -367,10 +386,13 @@ let oversized_requests =
 
 let oversized_responses =
   [
-    ("outcomes 2^60", "\x01" ^ Gen.varint (1 lsl 60) ^ "\x01\x05");
+    ("outcomes 2^60", "\x08" ^ Gen.varint (1 lsl 60) ^ "\x01\x05");
     ( "vector 2^60",
-      "\x01" ^ Gen.varint 1 ^ "\x00" ^ Gen.varint (1 lsl 60) ^ "\x01" );
-    ("resolved 2^60", "\x02" ^ Gen.varint (1 lsl 60));
+      "\x08" ^ Gen.varint 1 ^ "\x00" ^ Gen.varint (1 lsl 60) ^ "\x01" );
+    ( "delta vector 2^60",
+      "\x08" ^ Gen.varint 2 ^ "\x00\x01\x00\x00" ^ Gen.varint (1 lsl 60)
+      ^ "\x01" );
+    ("resolved 2^60", "\x09" ^ Gen.varint (1 lsl 60));
     ("error max_int bytes", "\x05" ^ Gen.varint max_int ^ "boom");
   ]
 
@@ -412,6 +434,85 @@ let test_oversized_counts_rejected () =
           | Ok r -> Alcotest.failf "%s answered %a" name Protocol.pp_response r
           | Error e -> Alcotest.failf "%s: unreadable reply (%s)" name e)
         (oversized_requests @ oversized_deltas))
+
+(* The delta-coded reply layouts. Tags 1 and 2 carried plain stamps
+   before; they are refused, so an old peer fails loudly instead of
+   reading deltas as counts. Each stamp after the first is rebuilt as
+   the one before plus a zigzag delta, and every rebuilt component must
+   be a message count again. *)
+let test_delta_layouts () =
+  let rejects name body =
+    match Protocol.decode_response body with
+    | Error _ -> ()
+    | Ok r -> Alcotest.failf "%s decoded as %a" name Protocol.pp_response r
+  in
+  rejects "old outcomes tag"
+    "\x01\x02\x00\x05\x00\x01\x7f\x80\x01\x80\x80\x01\x01\x05";
+  rejects "old resolved tag" "\x02\x00";
+  (match Protocol.decode_response "\x01\x00" with
+  | Error e ->
+      Alcotest.(check bool) "names the tag" true
+        (contains ~sub:"unknown response tag 1" e)
+  | Ok _ -> Alcotest.fail "tag 1 accepted");
+  (* [5] then a delta of -7. *)
+  rejects "negative component" "\x08\x02\x00\x01\x05\x00\x01\x0d";
+  rejects "negative component in resolved"
+    "\x09\x01\x00\x00\x01\x05\x01\x01\x0d\x00";
+  (* [max_int] then a delta of +1. *)
+  rejects "overflowing component"
+    ("\x08\x02\x00\x01" ^ Gen.varint max_int ^ "\x00\x01\x02");
+  (* [2^61 + 5] then the code of -2^61: the result, 5, is a count, but
+     no encoder writes that delta, so accepting it would break
+     canonicality. *)
+  rejects "delta -2^61"
+    ("\x08\x02\x00\x01" ^ Gen.varint ((1 lsl 61) + 5) ^ "\x00\x01"
+    ^ Gen.varint max_int);
+  let roundtrips name r =
+    Alcotest.(check bool) name true
+      (Protocol.decode_response (Protocol.encode_response r) = Ok r)
+  in
+  let big = (1 lsl 61) - 1 in
+  roundtrips "largest deltas"
+    (Protocol.Outcomes
+       [| Ingest.Stamped [| 0; big |]; Ingest.Stamped [| big; 0 |];
+          Ingest.Stamped [| 0 |] |]);
+  roundtrips "width changes inside a reply"
+    (Protocol.Resolved
+       [
+         ( 1,
+           { Synts_core.Internal_events.proc = 0; prev = [| 4 |];
+             succ = Some [| 4; 9; 2 |]; counter = 1 } );
+         ( 2,
+           { Synts_core.Internal_events.proc = 1; prev = [||]; succ = None;
+             counter = 0 } );
+         ( 3,
+           { Synts_core.Internal_events.proc = 2; prev = [| 1; 1 |];
+             succ = None; counter = 3 } );
+       ]);
+  let raises name r =
+    match Protocol.encode_response r with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s encoded" name
+  in
+  raises "delta +2^61"
+    (Protocol.Outcomes
+       [| Ingest.Stamped [| 0 |]; Ingest.Stamped [| 1 lsl 61 |] |]);
+  raises "delta -2^61"
+    (Protocol.Outcomes
+       [|
+         Ingest.Stamped [| 1 lsl 61 |];
+         Ingest.Deferred 3;
+         Ingest.Stamped [| 0 |];
+       |]);
+  raises "delta past 2^61 in resolved"
+    (Protocol.Resolved
+       [
+         ( 1,
+           { Synts_core.Internal_events.proc = 0; prev = [| max_int |];
+             succ = Some [| 0 |]; counter = 1 } );
+       ]);
+  raises "negative component after the first"
+    (Protocol.Outcomes [| Ingest.Stamped [| 3 |]; Ingest.Stamped [| -1 |] |])
 
 let test_decode_request_total =
   qtest ~count:1000 "decode_request is total and canonical"
@@ -674,6 +775,100 @@ let test_service_rejects_gap_and_stale () =
       | Protocol.Error_r _ -> ()
       | _ -> Alcotest.fail "negative seq accepted")
 
+(* ---------- service: the offline backend over the byte path ---------- *)
+
+(* One request through [handle_raw]: framed, encoded, decoded back. *)
+let raw_call service conn req =
+  match
+    Result.bind
+      (Wire.unframe
+         (Service.handle_raw service conn
+            (Wire.frame (Protocol.encode_request req))))
+      Protocol.decode_response
+  with
+  | Ok r -> r
+  | Error e -> failwith ("unreadable reply: " ^ e)
+
+let offline_service_gen =
+  QCheck2.Gen.(
+    pair Gen.computation (list_size (int_range 1 6) (int_range 1 13)))
+
+let offline_service_print (c, sizes) =
+  Printf.sprintf "%s batches=[%s]" (Gen.computation_print c)
+    (String.concat ";" (List.map string_of_int sizes))
+
+(* [serve --offline] at window 4, so the window retires as it goes: the
+   delta-coded replies must decode to exactly what an [Offline_sink]
+   driven directly returns, batch by batch, and [Verify]'s batch
+   Figure 9 replay must agree with every streamed stamp. *)
+let test_service_offline_byte_path =
+  qtest ~count:100 "offline replies over the byte path = Offline_sink"
+    offline_service_gen offline_service_print (fun (c, sizes) ->
+      let g, trace = Gen.build_computation c in
+      let d = Decomposition.best g in
+      let reference =
+        Offline_sink.create ~window:4 ~n:(Decomposition.graph_vertices d) ()
+      in
+      let service = Service.create ~check:true ~offline:true ~window:4 d in
+      Fun.protect
+        ~finally:(fun () -> Service.stop service)
+        (fun () ->
+          let conn = Service.attach service in
+          let events = events_of_trace trace in
+          let total = Array.length events in
+          let sizes = Array.of_list sizes in
+          let ok = ref true and seq = ref 0 and off = ref 0 in
+          let expect reply want =
+            if raw_call service conn reply <> want then ok := false
+          in
+          while !off < total do
+            let len = min sizes.(!seq mod Array.length sizes) (total - !off) in
+            let batch = Array.sub events !off len in
+            expect
+              (Protocol.Observe { seq = !seq; events = batch })
+              (Protocol.Outcomes (Offline_sink.observe_batch reference batch));
+            expect Protocol.Drain
+              (Protocol.Resolved (Offline_sink.drain reference));
+            incr seq;
+            off := !off + len
+          done;
+          expect Protocol.Finish
+            (Protocol.Resolved (Offline_sink.finish reference));
+          (match raw_call service conn Protocol.Verify with
+          | Protocol.Verified { ok = true; _ } -> ()
+          | _ -> ok := false);
+          !ok))
+
+(* Three concurrent messages in one batch each open a chain, so the
+   reply's stamps widen 1 → 2 → 3 components mid-reply. *)
+let test_service_offline_widening () =
+  let d = Decomposition.best (Topology.complete 6) in
+  let service = Service.create ~check:true ~offline:true ~window:4 d in
+  Fun.protect
+    ~finally:(fun () -> Service.stop service)
+    (fun () ->
+      let conn = Service.attach service in
+      let msg src dst = Ingest.Message { src; dst } in
+      let events =
+        [| msg 0 1; msg 2 3; Ingest.Internal { proc = 0 }; msg 4 5 |]
+      in
+      (match raw_call service conn (Protocol.Observe { seq = 0; events }) with
+      | Protocol.Outcomes out ->
+          Alcotest.(check (list (array int)))
+            "stamps widen mid-reply"
+            [ [| 1 |]; [| 0; 1 |]; [| 0; 0; 1 |] ]
+            (Array.to_list (Ingest.message_stamps out))
+      | r -> Alcotest.failf "observe answered %a" Protocol.pp_response r);
+      (match raw_call service conn Protocol.Finish with
+      | Protocol.Resolved [ (_, { Synts_core.Internal_events.prev; _ }) ] ->
+          Alcotest.(check (array int)) "internal event after 0->1" [| 1 |] prev
+      | r -> Alcotest.failf "finish answered %a" Protocol.pp_response r);
+      match raw_call service conn Protocol.Verify with
+      | Protocol.Verified { ok; checked } ->
+          Alcotest.(check bool) "verify ok" true ok;
+          Alcotest.(check int) "pairs checked" 3 checked
+      | r -> Alcotest.failf "verify answered %a" Protocol.pp_response r)
+
 (* ---------- service: churn / engine resharding ---------- *)
 
 (* One scripted epoch crossing: the engine is retired and rebuilt, yet
@@ -907,6 +1102,8 @@ let () =
           Alcotest.test_case "versioned vector frames" `Quick
             test_wire_versioned_vectors;
           Alcotest.test_case "golden frames" `Quick test_golden_frames;
+          Alcotest.test_case "delta-coded reply layouts" `Quick
+            test_delta_layouts;
           Alcotest.test_case "oversized counts rejected" `Quick
             test_oversized_counts_rejected;
           test_decode_request_total;
@@ -927,6 +1124,9 @@ let () =
             test_service_dup_replies_cached;
           Alcotest.test_case "gap and stale rejected" `Quick
             test_service_rejects_gap_and_stale;
+          test_service_offline_byte_path;
+          Alcotest.test_case "offline stamps widen mid-reply" `Quick
+            test_service_offline_widening;
         ] );
       ( "churn",
         [

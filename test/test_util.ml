@@ -166,6 +166,44 @@ let test_bitset_set_algebra =
       && Bitset.subset i a
       && (Bitset.subset a b = ISet.subset sa sb))
 
+(* The de Bruijn lookup must name every one of the 63 bit positions of
+   an OCaml int, alone or under higher bits; bit 62 is the sign bit, so
+   [1 lsl 62 = min_int]. *)
+let test_bitset_lowest_bit () =
+  for i = 0 to Sys.int_size - 1 do
+    Alcotest.(check int) (Printf.sprintf "bit %d" i) i
+      (Bitset.lowest_bit (1 lsl i));
+    Alcotest.(check int) (Printf.sprintf "bit %d under higher bits" i) i
+      (Bitset.lowest_bit (-1 lsl i))
+  done;
+  Alcotest.(check int) "sign bit" 62 (Bitset.lowest_bit min_int)
+
+(* Iteration and the two first-element searches against a sorted-list
+   model, at capacities that straddle 63-bit word boundaries. *)
+let bitset_pair_gen =
+  QCheck2.Gen.(
+    let* cap = oneofl [ 62; 63; 64; 126; 127 ] in
+    let elt = int_bound (cap - 1) in
+    let set = list_size (int_bound 40) elt in
+    let* xs = oneof [ set; map (fun l -> List.init cap Fun.id @ l) set ] in
+    let* ys = set in
+    let* from = int_bound (cap + 2) in
+    return (cap, xs, ys, from))
+
+let test_bitset_searches =
+  qtest ~count:500 "iter, first_inter and first_diff match a list model"
+    bitset_pair_gen (fun (cap, xs, ys, from) ->
+      let a = Bitset.of_list cap xs and b = Bitset.of_list cap ys in
+      let la = List.sort_uniq compare xs and lb = List.sort_uniq compare ys in
+      let first l = match l with [] -> -1 | x :: _ -> x in
+      let seen = ref [] in
+      Bitset.iter (fun i -> seen := i :: !seen) a;
+      List.rev !seen = la
+      && Bitset.first_inter a b
+         = first (List.filter (fun x -> List.mem x lb) la)
+      && Bitset.first_diff ~from a b
+         = first (List.filter (fun x -> x >= from && not (List.mem x lb)) la))
+
 let test_bitset_fill_clear () =
   let s = Bitset.create 130 in
   Bitset.fill s;
@@ -320,7 +358,9 @@ let () =
           Alcotest.test_case "basic" `Quick test_bitset_basic;
           Alcotest.test_case "out of range" `Quick test_bitset_out_of_range;
           Alcotest.test_case "fill/clear" `Quick test_bitset_fill_clear;
+          Alcotest.test_case "lowest-bit lookup" `Quick test_bitset_lowest_bit;
           test_bitset_model;
+          test_bitset_searches;
           test_bitset_set_algebra;
         ] );
       ( "bitmatrix",
