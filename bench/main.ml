@@ -222,6 +222,12 @@ let stream_tests =
         ~n:(Graph.n g)
     in
     let mid = ref 0 in
+    let last = Array.make (Graph.n g) [||] in
+    let record proc ts =
+      ignore
+        (Synts_core.Event_stream.record_message s ~proc ~prev:last.(proc) ts);
+      last.(proc) <- ts
+    in
     List.iter
       (fun step ->
         match step with
@@ -230,10 +236,10 @@ let stream_tests =
         | Trace.Send (src, dst) ->
             let ts = message_ts.(!mid) in
             incr mid;
-            ignore (Synts_core.Event_stream.record_message s ~proc:src ts);
-            ignore (Synts_core.Event_stream.record_message s ~proc:dst ts))
+            record src ts;
+            record dst ts)
       (Trace.steps trace);
-    ignore (Synts_core.Event_stream.finish s)
+    ignore (Synts_core.Event_stream.finish s ~prev:(Array.get last))
   in
   Test.make_grouped ~name:"internal-events"
     [
@@ -449,17 +455,18 @@ let trace_overhead_tests =
       Test.make ~name:"rendezvous-off" (Staged.stage rendezvous);
     ]
 
-(* B17: the serve-path sharded engine — the same ordered 1024-event
-   workload swept in 32-event batches by 1, 2 and 4 shard domains.
-   shards-1 runs the sweep inline on the caller's domain (the same
-   componentwise rule as the conformance oracle), so the 2/4-shard rows
-   price the coordinator handshake and slice reassembly against the
-   parallel component sweep.  The engines (and their worker domains)
-   persist across iterations; [finish] at the end of each feed keeps the
-   internal-event stream and resolved queue from growing run over run. *)
+(* B17: the serve-path engine — the same ordered 1024-event workload
+   swept in 32-event batches. observe-batch builds a vector per stamp
+   (the in-process sink API); row-path is what the daemon runs per
+   Observe: the sweep into slab rows, the Outcomes reply coded straight
+   from the rows, and its checksum frame. The engines persist across
+   iterations; [finish] at the end of each feed keeps the internal-event
+   stream and resolved queue from growing run over run. *)
 let serve_engine_tests =
   let module Ingest = Synts_ingest.Ingest in
   let module Engine = Synts_server.Engine in
+  let module Protocol = Synts_server.Protocol in
+  let module Wire = Synts_clock.Wire in
   let g = Topology.client_server ~servers:4 ~clients:28 in
   let d = Decomposition.best g in
   let events =
@@ -475,27 +482,32 @@ let serve_engine_tests =
     in
     cut 0 []
   in
-  (* Engines are created lazily on first run so their worker domains
-     only exist while this (last) group is being measured — idle
-     domains must not sit in the stop-the-world set while the
-     single-domain groups are timed. *)
-  let feed shards =
-    let eng =
-      lazy
-        (let e = Engine.create ~shards d in
-         at_exit (fun () -> Engine.stop e);
-         e)
-    in
+  let observe_batch =
+    let eng = Engine.create d in
     fun () ->
-      let eng = Lazy.force eng in
       List.iter (fun b -> ignore (Engine.observe_batch eng b)) batches;
+      ignore (Engine.finish eng)
+  in
+  let row_path =
+    let eng = Engine.create d in
+    let body = Wire.writer 4096 and frame = Wire.writer 4096 in
+    fun () ->
+      List.iter
+        (fun b ->
+          Engine.sweep eng b;
+          Wire.reset body;
+          Protocol.put_outcome_rows body ~rows:(Engine.rows eng)
+            ~dim:(Engine.dimension eng) ~first:(Engine.processes eng)
+            ~tickets:(Engine.tickets eng) ~count:(Array.length b);
+          Wire.reset frame;
+          Wire.put_frame frame body)
+        batches;
       ignore (Engine.finish eng)
   in
   Test.make_grouped ~name:"serve-engine-1024ev"
     [
-      Test.make ~name:"shards-1" (Staged.stage (feed 1));
-      Test.make ~name:"shards-2" (Staged.stage (feed 2));
-      Test.make ~name:"shards-4" (Staged.stage (feed 4));
+      Test.make ~name:"observe-batch" (Staged.stage observe_batch);
+      Test.make ~name:"row-path" (Staged.stage row_path);
     ]
 
 (* B18: the model checker's exploration engine — the default N=3

@@ -644,14 +644,6 @@ let address_conv =
 let address_arg ~name ~doc default =
   Arg.(value & opt address_conv default & info [ name ] ~docv:"ADDR" ~doc)
 
-let shards_t =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Worker domains stamping in parallel, each owning a slice of the \
-           timestamp components (clamped to the decomposition size).")
-
 let serve_cmd =
   let addr_t =
     address_arg ~name:"listen"
@@ -666,8 +658,7 @@ let serve_cmd =
       & info [ "check" ]
           ~doc:
             "Log every ingested event so clients can request a bit-exact \
-             replay through the single-domain oracle ($(b,synts load \
-             --verify)).")
+             replay through the oracle ($(b,synts load --verify)).")
   in
   let topology_t =
     Arg.(
@@ -682,7 +673,7 @@ let serve_cmd =
           ~doc:
             "Stamp with the streaming offline pipeline (bounded-memory \
              rank vectors, order-equivalent to the batch Figure 9 path) \
-             instead of the sharded Fig. 5 engine. $(b,--check) then \
+             instead of the Fig. 5 engine. $(b,--check) then \
              verifies order-equivalence against the batch oracle rather \
              than bit-exactness.")
   in
@@ -703,7 +694,7 @@ let serve_cmd =
              second frame family answering $(b,health), $(b,metrics), \
              $(b,stats) and $(b,tracedump), scraped by $(b,synts top).")
   in
-  let run seed topo address shards check offline window admin metrics =
+  let run seed topo address check offline window admin metrics =
     let g = realize_topology seed topo in
     let d = Decomposition.best g in
     if offline then
@@ -713,24 +704,23 @@ let serve_cmd =
         Synts_server.Server.pp_address address window
         (if check then ", equivalence checking on" else "")
     else
-      Format.printf "synts serve: %s (N=%d, d=%d) on %a, %d shard(s)%s@."
+      Format.printf "synts serve: %s (N=%d, d=%d) on %a%s@."
         (topo_to_string topo)
         (Decomposition.graph_vertices d)
         (Decomposition.size d) Synts_server.Server.pp_address address
-        (max 1 (min shards (max 1 (Decomposition.size d))))
         (if check then ", oracle checking on" else "");
     Option.iter
       (fun a ->
         Format.printf "admin channel on %a (synts top --connect)@."
           Synts_server.Server.pp_address a)
       admin;
-    Synts_server.Server.serve ~shards ~check ~offline ~window ?admin address d;
+    Synts_server.Server.serve ~check ~offline ~window ?admin address d;
     Format.printf "synts serve: shut down@.";
     Option.iter dump_metrics metrics
   in
   Cmd.v
-    (Cmd.info "serve" ~doc:"Run the sharded streaming stamping daemon.")
-    Term.(const run $ seed_t $ topology_t $ addr_t $ shards_t $ check_t
+    (Cmd.info "serve" ~doc:"Run the streaming stamping daemon.")
+    Term.(const run $ seed_t $ topology_t $ addr_t $ check_t
           $ offline_t $ window_t $ admin_t $ metrics_t)
 
 let load_cmd =
@@ -786,14 +776,14 @@ let load_cmd =
       & info [] ~docv:"TOPO"
           ~doc:"Topology (must match the server's decomposition).")
   in
-  let run seed topo address clients batches batch internal spawn shards verify
+  let run seed topo address clients batches batch internal spawn verify
       format metrics =
     check_loss internal;
     let g = realize_topology seed topo in
     let d = Decomposition.best g in
     let handle =
       if spawn then
-        Some (Synts_server.Server.spawn ~shards ~check:(verify || spawn)
+        Some (Synts_server.Server.spawn ~check:(verify || spawn)
                 address d)
       else None
     in
@@ -854,16 +844,16 @@ let load_cmd =
        ~doc:"Drive a stamping daemon with a seeded multi-client workload.")
     Term.(
       const run $ seed_t $ topology_t $ addr_t $ clients_t $ batches_t
-      $ batch_t $ internal_t $ spawn_t $ shards_t $ verify_t
+      $ batch_t $ internal_t $ spawn_t $ verify_t
       $ report_format_t $ metrics_t)
 
 (* ---------- top ---------- *)
 
 (* One rendered frame of `synts top`: health header, event totals with
-   rates derived from the previous sample, latency quantiles, per-shard
-   load (with skew), per-connection counters and — for the offline
+   rates derived from the previous sample, latency quantiles, the
+   engine's load, per-connection counters and — for the offline
    backend — the streaming pipeline's watermarks. *)
-let render_top ppf ~prev ~dt (ok, hbackend, procs, dim, hshards)
+let render_top ppf ~prev ~dt (ok, hbackend, procs, dim, _shards)
     (s : Synts_obs.Admin.stats) =
   let open Synts_obs.Admin in
   let events = s.messages + s.internal in
@@ -879,9 +869,9 @@ let render_top ppf ~prev ~dt (ok, hbackend, procs, dim, hshards)
   let msg_rate =
     rate s.messages (Option.map (fun (p : stats) -> p.messages) prev)
   in
-  Format.fprintf ppf "synts top — %s  %s  N=%d  d=%d  shards=%d@." hbackend
+  Format.fprintf ppf "synts top — %s  %s  N=%d  d=%d@." hbackend
     (if ok then "up" else "DOWN")
-    procs dim hshards;
+    procs dim;
   Format.fprintf ppf
     "events    %d total (%d messages, %d internal)  %.0f ev/s  %.0f msg/s@."
     events s.messages s.internal ev_rate msg_rate;
@@ -890,27 +880,11 @@ let render_top ppf ~prev ~dt (ok, hbackend, procs, dim, hshards)
     s.batches s.clients s.dedup_hits s.errors s.dropped s.pending;
   Format.fprintf ppf "stamp lat p50 %.3f ms  p90 %.3f ms  p99 %.3f ms@."
     s.p50_ms s.p90_ms s.p99_ms;
-  (match s.shards with
-  | [] -> ()
-  | shards ->
-      let cells = List.map (fun sh -> sh.s_cells) shards in
-      let total = List.fold_left ( + ) 0 cells in
-      let peak = List.fold_left max 0 cells in
-      let skew =
-        if total = 0 then 1.
-        else
-          float_of_int peak
-          /. (float_of_int total /. float_of_int (List.length shards))
-      in
-      Format.fprintf ppf "shards    load skew %.2fx@." skew;
-      List.iter
-        (fun sh ->
-          Format.fprintf ppf
-            "  s%-2d     %3.0f%%  events %d  cells %d  messages %d@." sh.shard
-            (if total = 0 then 0.
-             else 100. *. float_of_int sh.s_cells /. float_of_int total)
-            sh.s_events sh.s_cells sh.s_messages)
-        shards);
+  List.iter
+    (fun sh ->
+      Format.fprintf ppf "engine    events %d  cells %d  messages %d@."
+        sh.s_events sh.s_cells sh.s_messages)
+    s.shards;
   (match s.stream with
   | None -> ()
   | Some st ->
@@ -994,7 +968,7 @@ let top_cmd =
       ~finally:(fun () -> Admin_client.close a)
       (fun () -> (Admin_client.health a, Admin_client.stats a))
   in
-  let run seed topo admin interval once spawn data shards clients batches
+  let run seed topo admin interval once spawn data clients batches
       batch =
     if spawn then begin
       let topo =
@@ -1008,7 +982,7 @@ let top_cmd =
       let d = Decomposition.best g in
       start_tracing ();
       let handle =
-        Synts_server.Server.spawn ~shards ~check:false ~admin data d
+        Synts_server.Server.spawn ~check:false ~admin data d
       in
       let finish () =
         let c = Synts_server.Client.connect data in
@@ -1067,7 +1041,7 @@ let top_cmd =
           and the streaming pipeline's watermarks.")
     Term.(
       const run $ seed_t $ topo_t $ connect_t $ interval_t $ once_t $ spawn_t
-      $ data_t $ shards_t $ clients_t $ batches_t $ batch_t)
+      $ data_t $ clients_t $ batches_t $ batch_t)
 
 let protocol_cmd =
   let file_t =

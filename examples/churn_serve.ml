@@ -4,7 +4,7 @@
    Two clients connect to an in-process `synts serve` daemon over a
    unix socket. While the witness client keeps streaming messages, the
    driver applies two membership deltas — P4 joins on 4-0/4-2, then P3
-   leaves — each of which retires the sharded engine and boots one laid
+   leaves — each of which retires the engine and boots one laid
    out for the new epoch (clocks translated, ticket space continued).
    Both clients must keep working across both boundaries on the same
    connections, and the server's --check replay (epoch-aware: the
@@ -32,7 +32,7 @@ let () =
   let g = Topology.ring 4 in
   let d = Decomposition.best g in
   let addr = Server.Unix_socket "churn-smoke.sock" in
-  let h = Server.spawn ~shards:2 ~check:true addr d in
+  let h = Server.spawn ~check:true addr d in
   let driver = Client.connect addr in
   let witness = Client.connect addr in
   let sent = ref 0 in

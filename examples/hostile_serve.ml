@@ -14,9 +14,20 @@
    connection then runs a seeded session and the daemon's --check
    replay must confirm every stamp.
 
+   It then runs two `synts serve` child processes (the binary is the one
+   argument), each with its own fd table, against clients that only
+   connect. One faces 1,090 idle connections, more than select's
+   FD_SETSIZE of 1024 allows; the other runs under `ulimit -n 24`, so
+   its accepts run out of fds. In both, a clean client that connected
+   first must still be served and verified while the idle connections
+   stay open, the daemon must not spin on its listener, and it must shut
+   down cleanly. The flood holds over a thousand sockets in this process
+   and the daemon, so run it with a soft fd limit of a few thousand
+   (`ulimit -n 4096`), as the @serve-smoke rule does.
+
    Exits non-zero unless every hostile frame got an Error_r (or, for the
    oversized length prefix, a close), the daemon is still serving, and
-   the clean session verifies — this is a @serve-smoke CI leg. *)
+   the clean sessions verify — this is a @serve-smoke CI leg. *)
 
 module Graph = Synts_graph.Graph
 module Decomposition = Synts_graph.Decomposition
@@ -148,11 +159,119 @@ let clean_session rng g c =
   ignore (Client.finish c);
   !sent
 
+let verify name c sent =
+  match Client.verify_server c with
+  | Ok (true, checked) when checked = sent -> ()
+  | Ok (true, checked) -> fail "%s: replay checked %d of %d" name checked sent
+  | Ok (false, _) -> fail "%s: replay found a mismatch" name
+  | Error e -> fail "%s: verify: %s" name e
+
+(* On-CPU seconds of a process from /proc; [None] off Linux. After the
+   parenthesised command name, utime and stime are the 12th and 13th
+   fields, in clock ticks of 1/100 s. *)
+let cpu_seconds pid =
+  match
+    In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  with
+  | exception Sys_error _ -> None
+  | stat ->
+      let from = String.rindex stat ')' + 2 in
+      let fields =
+        Array.of_list
+          (String.split_on_char ' '
+             (String.sub stat from (String.length stat - from)))
+      in
+      Some
+        ((float_of_string fields.(11) +. float_of_string fields.(12)) /. 100.)
+
+(* `synts serve` as a child process, optionally under an fd limit. *)
+let spawn_daemon synts ?ulimit sock =
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  let cmd =
+    Printf.sprintf "%sexec %s serve ring:6 --seed 1 --listen %s --check"
+      (match ulimit with
+      | Some k -> Printf.sprintf "ulimit -n %d && " k
+      | None -> "")
+      (Filename.quote synts) (Filename.quote sock)
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; cmd |] null null null
+  in
+  Unix.close null;
+  let rec wait tries =
+    match Client.connect (Server.Unix_socket sock) with
+    | c -> c
+    | exception (Unix.Unix_error _ | Failure _) when tries > 0 ->
+        Unix.sleepf 0.02;
+        wait (tries - 1)
+  in
+  (pid, wait 250)
+
+(* An idle client: connects, never sends. A daemon that does not take
+   the connection within 10 s fails the case. *)
+let idle_connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+  match Unix.connect fd (Unix.ADDR_UNIX sock) with
+  | () -> fd
+  | exception Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      fail "idle connection to %s: %s" sock (Unix.error_message e)
+
+let fd_case synts ?ulimit name ~idle rng g =
+  let sock = name ^ ".sock" in
+  let pid, clean = spawn_daemon synts ?ulimit sock in
+  let flood = ref [] in
+  (* A failed case must not leave its daemon running. *)
+  let sent =
+    try
+      for _ = 1 to idle do
+        match idle_connect sock with
+        | fd -> flood := fd :: !flood
+        | exception Unix.Unix_error (Unix.EMFILE, _, _) ->
+            fail "%s: this process ran out of fds itself; raise ulimit -n"
+              name
+      done;
+      let before = cpu_seconds pid in
+      Unix.sleepf 0.5;
+      (match (before, cpu_seconds pid) with
+      | Some a, Some b when b -. a > 0.25 ->
+          fail "%s: the daemon burned %.2f s of CPU in 0.5 s idle" name
+            (b -. a)
+      | _ -> ());
+      let sent = clean_session rng g clean in
+      verify name clean sent;
+      Client.shutdown clean;
+      sent
+    with e ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      raise e
+  in
+  List.iter Unix.close !flood;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED k -> fail "%s: daemon exited with %d" name k
+  | _, (Unix.WSIGNALED k | Unix.WSTOPPED k) ->
+      fail "%s: daemon killed by signal %d" name k);
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  Format.printf "%s: %d idle connections held, %d clean messages verified@."
+    name (List.length !flood) sent
+
 let () =
+  let synts =
+    match Sys.argv with
+    | [| _; synts |] -> synts
+    | _ ->
+        prerr_endline "usage: hostile_serve SYNTS-BINARY";
+        exit 2
+  in
   let rng = Rng.create 2002 in
   let g = Topology.ring 6 in
   let addr = Server.Unix_socket path in
-  let h = Server.spawn ~shards:2 ~check:true addr (Decomposition.best g) in
+  let h = Server.spawn ~check:true addr (Decomposition.best g) in
   let clean = Client.connect addr in
   let hostile = hostile_session rng in
   let sent = clean_session rng g clean in
@@ -161,14 +280,12 @@ let () =
   | Ok s ->
       fail "%d clients attached after the hostile one left" s.Client.clients
   | Error e -> fail "stats: %s" e);
-  (match Client.verify_server clean with
-  | Ok (true, checked) when checked = sent ->
-      Format.printf
-        "hostile-smoke: %d hostile frames refused, oversized stream closed, \
-         %d clean messages verified@."
-        hostile checked
-  | Ok (true, checked) -> fail "replay checked %d of %d" checked sent
-  | Ok (false, _) -> fail "replay found a mismatch"
-  | Error e -> fail "verify: %s" e);
+  verify "hostile-smoke" clean sent;
+  Format.printf
+    "hostile-smoke: %d hostile frames refused, oversized stream closed, %d \
+     clean messages verified@."
+    hostile sent;
   Client.shutdown clean;
-  Server.join h
+  Server.join h;
+  fd_case synts "fd-flood" ~idle:1090 rng g;
+  fd_case synts "fd-limit" ~ulimit:24 ~idle:40 rng g

@@ -86,6 +86,7 @@ let get_into t r v =
   Array.blit t.slab (r * t.dim) v 0 t.dim
 
 let unsafe_cell t r k = t.slab.((r * t.dim) + k)
+let data t = t.slab
 let to_array t = Array.init t.rows (fun r -> get t r)
 
 let compare_rows t a b =

@@ -67,6 +67,11 @@ val unsafe_cell : t -> int -> int -> int
 (** [unsafe_cell t r k] reads component [k] of row [r] (bounds-checked
     on the slab only). *)
 
+val data : t -> int array
+(** The slab itself: row [r] is words [r * dim t .. r * dim t + dim t - 1].
+    Valid until the next push, which may move the slab; callers that
+    encode rows in place (the serve reply writer) only read it. *)
+
 val to_array : t -> Vector.t array
 (** Materialise every row, in order. *)
 

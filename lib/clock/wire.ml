@@ -37,8 +37,11 @@ let encoded_bytes v =
   !total
 
 (* The one varint writer: LEB128 at [pos], returning the next position.
-   Callers guarantee room for [varint_bytes v] bytes. *)
-let set_varint buf pos v =
+   Callers guarantee room for [varint_bytes v] bytes. A value below 0x80
+   — nearly every delta-coded stamp component — is one inlined store;
+   everything else, the negative values it refuses included, takes the
+   loop, which alone emits multi-byte (and so canonical) encodings. *)
+let set_varint_loop buf pos v =
   if v < 0 then invalid_arg "Wire: negative value";
   let pos = ref pos and v = ref v in
   while !v >= 0x80 do
@@ -49,10 +52,19 @@ let set_varint buf pos v =
   Bytes.unsafe_set buf !pos (Char.unsafe_chr !v);
   !pos + 1
 
-let set_vector buf pos v =
-  let pos = ref (set_varint buf pos (Array.length v)) in
-  for i = 0 to Array.length v - 1 do
-    pos := set_varint buf !pos (Array.unsafe_get v i)
+let[@inline] set_varint buf pos v =
+  if v land lnot 0x7f = 0 then begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else set_varint_loop buf pos v
+
+(* [len] components of [a] from [off], after their count: the {!encode}
+   layout of a vector or of one slab row. *)
+let set_vector buf pos a off len =
+  let pos = ref (set_varint buf pos len) in
+  for i = off to off + len - 1 do
+    pos := set_varint buf !pos (Array.unsafe_get a i)
   done;
   !pos
 
@@ -78,10 +90,17 @@ let put_varint w v =
   if w.len + max_varint > Bytes.length w.buf then reserve w (varint_bytes v);
   w.len <- set_varint w.buf w.len v
 
-let put_vector w v =
-  if w.len + (max_varint * (Array.length v + 1)) > Bytes.length w.buf then
-    reserve w (encoded_bytes v);
-  w.len <- set_vector w.buf w.len v
+let check_sub name a off len =
+  if off < 0 || len < 0 || off > Array.length a - len then
+    invalid_arg ("Wire." ^ name ^ ": row out of bounds")
+
+let put_row w a ~off ~len =
+  check_sub "put_row" a off len;
+  if w.len + (max_varint * (len + 1)) > Bytes.length w.buf then
+    reserve w (max_varint * (len + 1));
+  w.len <- set_vector w.buf w.len a off len
+
+let put_vector w v = put_row w v ~off:0 ~len:(Array.length v)
 
 (* Delta coding: component [i] travels as the zigzag code of
    [v.(i) - prev.(i)] (0, -1, 1, -2 -> 0, 1, 2, 3), with a shorter [prev]
@@ -90,19 +109,27 @@ let put_vector w v =
    that range, so each vector has exactly one encoding. *)
 let max_delta = 1 lsl 61
 
-let put_delta_vector w ~prev v =
-  let n = Array.length v and m = Array.length prev in
-  if w.len + (max_varint * (n + 1)) > Bytes.length w.buf then
-    reserve w (max_varint * (n + 1));
-  let pos = ref (set_varint w.buf w.len n) in
-  for i = 0 to n - 1 do
-    let x = Array.unsafe_get v i in
-    let d = x - if i < m then Array.unsafe_get prev i else 0 in
+(* The one delta writer, over slab rows and vectors alike. *)
+let put_delta_row w ~prev ~prev_off ~prev_len a ~off ~len =
+  check_sub "put_delta_row" prev prev_off prev_len;
+  check_sub "put_delta_row" a off len;
+  if w.len + (max_varint * (len + 1)) > Bytes.length w.buf then
+    reserve w (max_varint * (len + 1));
+  let pos = ref (set_varint w.buf w.len len) in
+  for i = 0 to len - 1 do
+    let x = Array.unsafe_get a (off + i) in
+    let d =
+      x - if i < prev_len then Array.unsafe_get prev (prev_off + i) else 0
+    in
     if x < 0 || d >= max_delta || d <= -max_delta then
-      invalid_arg "Wire.put_delta_vector: component or delta out of range";
+      invalid_arg "Wire.put_delta_row: component or delta out of range";
     pos := set_varint w.buf !pos ((d lsl 1) lxor (d asr (Sys.int_size - 1)))
   done;
   w.len <- !pos
+
+let put_delta_vector w ~prev v =
+  put_delta_row w ~prev ~prev_off:0 ~prev_len:(Array.length prev) v ~off:0
+    ~len:(Array.length v)
 
 let put_string w s =
   let n = String.length s in
@@ -119,6 +146,14 @@ let put_f64 w f =
   w.len <- w.len + 8
 
 let contents w = Bytes.sub_string w.buf 0 w.len
+let length w = w.len
+let reset w = w.len <- 0
+let buffer w = w.buf
+
+let put_contents w src =
+  reserve w src.len;
+  Bytes.blit src.buf 0 w.buf w.len src.len;
+  w.len <- w.len + src.len
 
 type reader = { src : string; mutable pos : int }
 
@@ -138,8 +173,10 @@ let get_bool r =
 (* The one varint reader. Truncation, overflow past 62 bits and
    non-canonical (overlong) encodings all fail: only the shortest
    encoding is accepted, so a decoded message re-encodes to exactly the
-   bytes it came from. *)
-let get_varint r =
+   bytes it came from. A byte below 0x80 is a whole varint and is read
+   inline; any other byte, and the end of input, go to the loop, which
+   alone sees continuation bytes and so alone judges canonicality. *)
+let get_varint_loop r =
   let s = r.src and start = r.pos in
   let len = String.length s in
   let pos = ref start and shift = ref 0 and acc = ref 0 and b = ref 0x80 in
@@ -153,6 +190,18 @@ let get_varint r =
   if !acc < 0 || (!b = 0 && !pos - start > 1) then raise_notrace Bad_varint;
   r.pos <- !pos;
   !acc
+
+let[@inline] get_varint r =
+  let pos = r.pos in
+  if pos < String.length r.src then begin
+    let b = Char.code (String.unsafe_get r.src pos) in
+    if b < 0x80 then begin
+      r.pos <- pos + 1;
+      b
+    end
+    else get_varint_loop r
+  end
+  else get_varint_loop r
 
 (* Every counted item takes at least one byte, so a count larger than
    the bytes left is malformed — checked before anything is allocated. *)
@@ -217,7 +266,7 @@ let parse s f =
 
 let encode v =
   let buf = Bytes.create (encoded_bytes v) in
-  ignore (set_vector buf 0 v : int);
+  ignore (set_vector buf 0 v 0 (Array.length v) : int);
   Bytes.unsafe_to_string buf
 
 let decode s = parse s get_vector
@@ -272,6 +321,17 @@ let frame ?(version = current_version) body =
   Bytes.blit_string body 0 out pos len;
   Bytes.unsafe_to_string out
 
+(* [frame (contents body)] appended to [w], with no intermediate
+   string: the checksum is taken over [body]'s bytes in place. *)
+let put_frame w body =
+  let digest = checksum_sub (Bytes.unsafe_to_string body.buf) 0 body.len in
+  reserve w (2 + max_varint + body.len);
+  Bytes.unsafe_set w.buf w.len magic;
+  Bytes.unsafe_set w.buf (w.len + 1) (Char.unsafe_chr current_version);
+  let pos = set_varint w.buf (w.len + 2) digest in
+  Bytes.blit body.buf 0 w.buf pos body.len;
+  w.len <- pos + body.len
+
 (* The checksum varint at [off], verified against the rest of [s] in
    place; only a matching body is copied out. *)
 let checked_body s off =
@@ -320,7 +380,7 @@ let decode_framed s = Result.bind (unframe s) decode
 let encode_epoch ~epoch v =
   if epoch < 0 then invalid_arg "Wire.encode_epoch: negative epoch";
   let buf = Bytes.create (varint_bytes epoch + encoded_bytes v) in
-  ignore (set_vector buf (set_varint buf 0 epoch) v : int);
+  ignore (set_vector buf (set_varint buf 0 epoch) v 0 (Array.length v) : int);
   Bytes.unsafe_to_string buf
 
 let decode_epoch s =

@@ -39,6 +39,11 @@ val put_varint : writer -> int -> unit
 val put_vector : writer -> Vector.t -> unit
 (** The {!encode} layout: component count, then the components. *)
 
+val put_row : writer -> int array -> off:int -> len:int -> unit
+(** {!put_vector} of the [len] components of [a] from [off] — a stamp
+    held as one row of a slab, written without copying it out. Raises
+    [Invalid_argument] when the row lies outside [a]. *)
+
 val put_delta_vector : writer -> prev:Vector.t -> Vector.t -> unit
 (** [v] coded against the vector [prev] written before it: the component
     count, then each component's delta [v.(i) - prev.(i)] as a zigzag
@@ -46,7 +51,23 @@ val put_delta_vector : writer -> prev:Vector.t -> Vector.t -> unit
     padded with zeros. Neighbouring stamps of one reply differ by far
     less than their values, so most deltas take one byte. Raises
     [Invalid_argument] on a negative component or a delta of magnitude
-    2^61 or more; components are message counts. *)
+    2^61 or more; components are message counts. It is
+    {!put_delta_row} over whole arrays. *)
+
+val put_delta_row :
+  writer ->
+  prev:int array ->
+  prev_off:int ->
+  prev_len:int ->
+  int array ->
+  off:int ->
+  len:int ->
+  unit
+(** The one delta writer: {!put_delta_vector} of the [len] components of
+    [a] from [off] against the [prev_len] components of [prev] from
+    [prev_off], so stamps held as slab rows are coded in place. Raises
+    [Invalid_argument] as {!put_delta_vector} does, or when a row lies
+    outside its array. *)
 
 val put_string : writer -> string -> unit
 (** Varint length, then the bytes. *)
@@ -55,6 +76,20 @@ val put_f64 : writer -> float -> unit
 
 val contents : writer -> string
 (** A copy of the bytes written so far. *)
+
+val length : writer -> int
+(** Bytes written so far. *)
+
+val reset : writer -> unit
+(** Forget the bytes written, keeping the capacity, so one writer can
+    serve message after message. *)
+
+val buffer : writer -> bytes
+(** The backing store: its first {!length} bytes are the contents. Valid
+    until the next write; callers only read it. *)
+
+val put_contents : writer -> writer -> unit
+(** [put_contents w src] appends the bytes of [src]. *)
 
 type reader
 (** A cursor over one message. *)
@@ -67,7 +102,8 @@ val get_bool : reader -> bool
 
 val get_varint : reader -> int
 (** Only the canonical (shortest) encoding is accepted; truncation,
-    overflow past 62 bits and overlong encodings fail. *)
+    overflow past 62 bits and overlong encodings fail. A value below
+    0x80 is read without entering the general loop. *)
 
 val get_count : reader -> int
 (** A varint that counts the items that follow, each at least one byte
@@ -123,6 +159,11 @@ val frame : ?version:int -> string -> string
 (** Wrap an arbitrary body in a checksum frame. [version] defaults to
     {!current_version}; [0] emits the legacy prefix-free frame; other
     values raise [Invalid_argument]. *)
+
+val put_frame : writer -> writer -> unit
+(** [put_frame w body] appends [frame (contents body)] to [w] (current
+    version), byte for byte, without building either string. [w] and
+    [body] must be distinct writers. *)
 
 val unframe : string -> (string, string) result
 (** Validate and strip a frame of either version, returning the body.

@@ -69,9 +69,9 @@ end) : sig
       [sink] is the {!Synts_ingest.Ingest.S} convergence path: every
       rendezvous is forwarded as [Message {src; dst}] and every internal
       event as [Internal {proc}], in scheduler order, so any ingest
-      implementation — a {!Synts_session.Session}, the sharded
-      [synts serve] engine, or a remote server client — can shadow the
-      run and stamp the same computation.
+      implementation — a {!Synts_session.Session}, the [synts serve]
+      engine, or a remote server client — can shadow the run and stamp
+      the same computation.
 
       [faults] (default empty; validated against [n]) applies the crash
       clauses of a fault plan, with crash times read as scheduler

@@ -2,11 +2,81 @@ type group =
   | Star of { center : int; leaves : int list }
   | Triangle of int * int * int
 
-type t = {
-  graph_n : int;
-  groups : group list;
-  index : (Graph.edge, int) Hashtbl.t;
-}
+(* The channel -> group map in O(N + E) words: vertex [u]'s neighbours,
+   ascending, are [nbr.(off.(u)) .. nbr.(off.(u+1) - 1)], each beside
+   its group in [grp]. *)
+type index = { off : int array; nbr : int array; grp : int array }
+
+type t = { graph_n : int; groups : group list; index : index }
+
+(* Each channel goes in both directions. Placing every channel at its
+   tail, in any order, then again at its head while walking the tails in
+   ascending order leaves each vertex's neighbours ascending: O(N + E)
+   whatever order the channels arrive in. *)
+let index_of_edges n edges =
+  let off = Array.make (n + 1) 0 in
+  List.iter
+    (fun (u, v, _) ->
+      if u < 0 || v < 0 || u >= n || v >= n || u = v then
+        invalid_arg "Decomposition.index_of_edges: bad channel";
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1)
+    edges;
+  for u = 1 to n do
+    off.(u) <- off.(u) + off.(u - 1)
+  done;
+  let m = off.(n) in
+  let next = Array.sub off 0 n in
+  let place nbr grp u v g =
+    let i = next.(u) in
+    nbr.(i) <- v;
+    grp.(i) <- g;
+    next.(u) <- i + 1
+  in
+  let by_tail = Array.make m 0 and by_tail_grp = Array.make m 0 in
+  List.iter
+    (fun (u, v, g) ->
+      place by_tail by_tail_grp u v g;
+      place by_tail by_tail_grp v u g)
+    edges;
+  let nbr = Array.make m 0 and grp = Array.make m 0 in
+  Array.blit off 0 next 0 n;
+  for u = 0 to n - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      place nbr grp by_tail.(i) u by_tail_grp.(i)
+    done
+  done;
+  { off; nbr; grp }
+
+(* A channel listed twice comes out as equal adjacent neighbours, first
+   met at its lower endpoint. *)
+let duplicate ix =
+  let n = Array.length ix.off - 1 in
+  let rec scan u i =
+    if u = n then None
+    else if i + 1 >= ix.off.(u + 1) then scan (u + 1) ix.off.(u + 1)
+    else if ix.nbr.(i) = ix.nbr.(i + 1) then Some (u, ix.nbr.(i))
+    else scan u (i + 1)
+  in
+  scan 0 0
+
+let lookup t u v =
+  if u < 0 || u >= Array.length t.off - 1 then -1
+  else begin
+    let lo = ref t.off.(u) and hi = ref (t.off.(u + 1) - 1) in
+    let found = ref (-1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let w = Array.unsafe_get t.nbr mid in
+      if w = v then begin
+        found := Array.unsafe_get t.grp mid;
+        lo := !hi + 1
+      end
+      else if w < v then lo := mid + 1
+      else hi := mid - 1
+    done;
+    !found
+  end
 
 let edges_of_group = function
   | Star { center; leaves } ->
@@ -31,35 +101,39 @@ let well_formed_group n = function
 
 let make g groups =
   let n = Graph.n g in
-  let index = Hashtbl.create (2 * Graph.m g) in
-  let rec check i = function
-    | [] ->
-        if Hashtbl.length index = Graph.m g then
-          Ok { graph_n = n; groups; index }
-        else Error "decomposition does not cover every edge"
+  let bad_edge (u, v) =
+    Error (Printf.sprintf "edge (%d,%d) duplicated or absent from the graph" u v)
+  in
+  (* Every group's channels, tagged with the group, once each group is
+     well-formed and lies in the graph. *)
+  let rec channels i acc = function
+    | [] -> Ok acc
     | grp :: rest -> (
         match well_formed_group n grp with
-        | Error _ as e -> e
-        | Ok () ->
-            let dup =
-              List.find_opt
-                (fun (u, v) ->
-                  if Hashtbl.mem index (u, v) then true
-                  else if not (Graph.has_edge g u v) then true
-                  else begin
-                    Hashtbl.replace index (u, v) i;
-                    false
-                  end)
-                (edges_of_group grp)
-            in
-            (match dup with
-            | Some (u, v) ->
-                Error
-                  (Printf.sprintf
-                     "edge (%d,%d) duplicated or absent from the graph" u v)
-            | None -> check (i + 1) rest))
+        | Error e -> Error e
+        | Ok () -> (
+            let edges = edges_of_group grp in
+            match
+              List.find_opt (fun (u, v) -> not (Graph.has_edge g u v)) edges
+            with
+            | Some e -> bad_edge e
+            | None ->
+                channels (i + 1)
+                  (List.fold_left (fun acc (u, v) -> (u, v, i) :: acc) acc edges)
+                  rest))
   in
-  check 0 groups
+  match channels 0 [] groups with
+  | Error e -> Error e
+  | Ok chans -> (
+      let index = index_of_edges n chans in
+      match duplicate index with
+      | Some e -> bad_edge e
+      | None ->
+          (* Distinct channels of the graph, in both directions: they
+             cover it iff there are twice as many as its edges. *)
+          if Array.length index.nbr = 2 * Graph.m g then
+            Ok { graph_n = n; groups; index }
+          else Error "decomposition does not cover every edge")
 
 let make_exn g groups =
   match make g groups with
@@ -71,9 +145,9 @@ let size t = List.length t.groups
 let graph_vertices t = t.graph_n
 
 let group_of_edge t u v =
-  match Hashtbl.find_opt t.index (Graph.normalize_edge u v) with
-  | Some i -> i
-  | None -> raise Not_found
+  match lookup t.index u v with -1 -> raise Not_found | g -> g
+
+let index t = t.index
 
 let stars t =
   List.length (List.filter (function Star _ -> true | _ -> false) t.groups)

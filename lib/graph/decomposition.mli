@@ -20,7 +20,7 @@ type group =
   | Triangle of int * int * int  (** Three vertices [x < y < z], all edges. *)
 
 type t
-(** A decomposition, carrying its edge-to-group index. *)
+(** A decomposition, carrying its edge-to-group {!index}. *)
 
 val make : Graph.t -> group list -> (t, string) result
 (** Validates that the groups partition the graph's edge set and that each
@@ -38,7 +38,29 @@ val graph_vertices : t -> int
 
 val group_of_edge : t -> int -> int -> int
 (** [group_of_edge t u v] is the index [g] with edge [(u, v) ∈ E_g]
-    (0-based). Raises [Not_found] when the edge is in no group. *)
+    (0-based): a {!lookup} in the decomposition's {!index}. Raises
+    [Not_found] when the edge is in no group. *)
+
+type index
+(** A channel → group map held in O(N + E) words: each vertex's
+    neighbours in ascending order beside their groups, so a lookup is
+    one binary search over the sender's neighbours and allocates
+    nothing. *)
+
+val index : t -> index
+(** The decomposition's channel → group map, built by {!make} from the
+    groups' edge lists in O(N + E). *)
+
+val index_of_edges : int -> (int * int * int) list -> index
+(** [index_of_edges n edges] maps each channel [(u, v, g)] of [edges],
+    in both directions, to [g] — for layouts that are not a
+    decomposition, such as a membership epoch's slots. Built in
+    O(N + E); raises [Invalid_argument] on a vertex outside [0, n) or
+    a self-loop. *)
+
+val lookup : index -> int -> int -> int
+(** [lookup i u v] is the group of channel [(u, v)], or [-1] when the
+    channel is absent (including out-of-range vertices). *)
 
 val edges_of_group : group -> Graph.edge list
 val stars : t -> int

@@ -71,6 +71,12 @@ let slot_of_edge t u v =
   | Some id -> Hashtbl.find t.slots id
   | None -> raise Not_found
 
+let index t =
+  Decomposition.index_of_edges (processes t)
+    (Hashtbl.fold
+       (fun (u, v) id acc -> (u, v, Hashtbl.find t.slots id) :: acc)
+       t.edge_index [])
+
 let component_edges t =
   Hashtbl.fold
     (fun id c acc -> (Hashtbl.find t.slots id, List.sort compare c.edges) :: acc)

@@ -108,6 +108,10 @@ val slot_of_edge : t -> int -> int -> int
 (** The current vector slot incremented by messages on channel [(u,v)].
     Raises [Not_found] when the channel is not in the current topology. *)
 
+val index : t -> Decomposition.index
+(** {!slot_of_edge} for every current channel at once, built in
+    O(N + E) — the map an engine laid out for this epoch holds. *)
+
 val component_edges : t -> (int * Graph.edge list) list
 (** Live components as [(slot, current edges)], sorted by slot. *)
 

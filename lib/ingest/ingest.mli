@@ -9,10 +9,10 @@
     stamps (immediate for messages, deferred tickets for internal events).
 
     {!S} is implemented by [Synts_session.Session] (in-process monitoring),
-    [Synts_server.Engine] (the sharded stamping engine behind
-    [synts serve]) and [Synts_server.Client] (remote stamping over a
-    socket), so embedders are written once against {!sink} and run
-    unchanged against any of them. *)
+    [Synts_server.Engine] (the stamping engine behind [synts serve]) and
+    [Synts_server.Client] (remote stamping over a socket), so embedders
+    are written once against {!sink} and run unchanged against any of
+    them. *)
 
 type ticket = Synts_core.Event_stream.ticket
 (** Deferred internal-event handles, issued in announcement order. *)

@@ -5,6 +5,9 @@ type t = {
   stream : Stream.t;
   events : Event_stream.t;
   resolved : (Event_stream.ticket * Synts_core.Internal_events.stamp) Queue.t;
+  last : Synts_clock.Vector.t array;
+      (* each process's last message stamp, the [prev] of its next
+         internal events *)
   n : int;
 }
 
@@ -16,6 +19,7 @@ let create ?window ~n () =
        session's. *)
     events = Event_stream.create ~dimension:1 ~n;
     resolved = Queue.create ();
+    last = Array.make n [||];
     n;
   }
 
@@ -28,9 +32,14 @@ let observe t event =
   match event with
   | Ingest.Message { src; dst } ->
       let v = Stream.observe t.stream ~src ~dst in
-      let enqueue = List.iter (fun r -> Queue.push r t.resolved) in
-      enqueue (Event_stream.record_message t.events ~proc:src v);
-      enqueue (Event_stream.record_message t.events ~proc:dst v);
+      let record proc =
+        List.iter
+          (fun r -> Queue.push r t.resolved)
+          (Event_stream.record_message t.events ~proc ~prev:t.last.(proc) v);
+        t.last.(proc) <- v
+      in
+      record src;
+      record dst;
       Ingest.Stamped v
   | Ingest.Internal { proc } ->
       Ingest.Deferred (Event_stream.record_internal t.events ~proc)
@@ -42,7 +51,7 @@ let drain t =
   Queue.clear t.resolved;
   out
 
-let finish t = drain t @ Event_stream.finish t.events
+let finish t = drain t @ Event_stream.finish t.events ~prev:(Array.get t.last)
 
 module Sink = struct
   type nonrec t = t

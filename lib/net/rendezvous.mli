@@ -88,8 +88,8 @@ val run :
     {!Synts_ingest.Ingest.S} interface: each rendezvous instant is
     forwarded as [Message {src; dst}] and each internal step as
     [Internal {proc}], in induced-computation order, so a session or the
-    sharded [synts serve] engine can independently stamp the same
-    computation the protocol layer executes.
+    [synts serve] engine can independently stamp the same computation
+    the protocol layer executes.
 
     With [loss > 0] (default 0; [1.0] allowed — everything drops), each
     packet independently drops with that probability; senders then

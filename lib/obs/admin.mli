@@ -20,15 +20,18 @@ type metrics_format = Prom | Json
 type request =
   | Health
   | Metrics of metrics_format
-      (** The merged cross-shard registry snapshot, rendered. *)
+      (** The merged registry snapshot, rendered. *)
   | Stats
   | Tracedump  (** Drain the tracer ring. *)
 
+(** The engine's load. The daemon stamps on one domain and reports one
+    row, shard 0; the list shape is kept so the frame layout does not
+    change. *)
 type shard_stat = {
   shard : int;
-  s_events : int;  (** Events swept by this shard. *)
-  s_cells : int;  (** Clock cells written (events x owned components). *)
-  s_messages : int;  (** Messages whose edge group this shard owns. *)
+  s_events : int;  (** Events swept. *)
+  s_cells : int;  (** Clock cells written (events x components). *)
+  s_messages : int;  (** Messages stamped. *)
 }
 
 type conn_stat = {
@@ -49,7 +52,7 @@ type stream_stat = {
 }
 
 type stats = {
-  backend : string;  (** ["sharded:k"] or ["offline-stream"]. *)
+  backend : string;  (** ["online"] or ["offline-stream"]. *)
   clients : int;
   batches : int;
   messages : int;
@@ -72,7 +75,7 @@ type response =
       backend : string;
       processes : int;
       dimension : int;
-      shards : int;
+      shards : int;  (** Always 1; kept so the frame layout does not change. *)
     }
   | Metrics_r of string  (** Rendered Prometheus text or JSON. *)
   | Stats_r of stats

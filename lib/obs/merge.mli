@@ -1,12 +1,11 @@
-(** Deterministic cross-domain snapshot aggregation.
+(** Deterministic snapshot aggregation.
 
-    The sharded engine keeps one {!Synts_telemetry.Telemetry.registry}
-    per worker domain so hot-path recording never crosses a domain
-    boundary; the admin channel (and the property tests) then merge the
-    per-shard {e snapshots} into one logical view. Merge semantics, per
-    metric name:
+    Registries are kept apart where their owners are: the process-wide
+    default registry, each serve service's private one and its engine's.
+    The admin channel merges their {e snapshots} into one logical view.
+    Merge semantics, per metric name:
 
-    - {b counters} add — each shard counted disjoint work;
+    - {b counters} add — each registry counted disjoint work;
     - {b gauges} take the maximum — watermark semantics;
     - {b histograms} require identical bucket bounds, then add per-bucket
       counts, the overflow bucket, [sum] and [count] pointwise, and
@@ -16,10 +15,7 @@
     The same name registered at different kinds (or histogram bounds)
     across inputs raises [Invalid_argument] — that is a bug in the
     instrumentation, not data. The result is name-sorted, so merging is
-    itself deterministic: the per-shard counter layout is designed to be
-    shard-count invariant, and [test/test_obs.ml] checks that merging a
-    k-shard run's registries is {e structurally equal} to the 1-shard
-    oracle registry's snapshot. *)
+    itself deterministic. *)
 
 val snapshots :
   Synts_telemetry.Telemetry.snapshot list -> Synts_telemetry.Telemetry.snapshot

@@ -17,8 +17,8 @@ val health :
 (** [(ok, backend, processes, dimension, shards)]. *)
 
 val metrics : t -> Synts_obs.Admin.metrics_format -> string
-(** The merged cross-shard registry snapshot, rendered as Prometheus
-    text or JSON. *)
+(** The merged registry snapshot (process, service and engine), rendered
+    as Prometheus text or JSON. *)
 
 val stats : t -> Synts_obs.Admin.stats
 

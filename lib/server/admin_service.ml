@@ -14,11 +14,9 @@ let stats service =
   let p50_ms, p90_ms, p99_ms = Service.stamp_quantiles service in
   let shards =
     match Service.backend service with
-    | Service.Sharded e ->
-        List.map
-          (fun (shard, s_events, s_cells, s_messages) ->
-            { Admin.shard; s_events; s_cells; s_messages })
-          (Engine.shard_loads e)
+    | Service.Online e ->
+        let s_events, s_cells, s_messages = Engine.load e in
+        [ { Admin.shard = 0; s_events; s_cells; s_messages } ]
     | Service.Offline_stream _ -> []
   in
   let conns =
@@ -29,7 +27,7 @@ let stats service =
   in
   let stream =
     match Service.backend service with
-    | Service.Sharded _ -> None
+    | Service.Online _ -> None
     | Service.Offline_stream sink ->
         let s = Synts_ingest.Offline_sink.stream sink in
         Some
@@ -65,7 +63,7 @@ let handle service (req : Admin.request) : Admin.response =
   | Admin.Health ->
       let sink =
         match Service.backend service with
-        | Service.Sharded e -> Engine.ingest e
+        | Service.Online e -> Engine.ingest e
         | Service.Offline_stream s -> Synts_ingest.Offline_sink.ingest s
       in
       Health_r
@@ -74,7 +72,7 @@ let handle service (req : Admin.request) : Admin.response =
           backend = Service.backend_name service;
           processes = Ingest.processes sink;
           dimension = Ingest.dimension sink;
-          shards = Service.shards service;
+          shards = 1;
         }
   | Admin.Metrics fmt ->
       let snap = merged_snapshot service in

@@ -3,7 +3,7 @@
     A connected client is one more {!Synts_ingest.Ingest.S}
     implementation: code written against the unified interface runs
     unchanged whether its sink is an in-process {!Synts_session.Session},
-    the sharded {!Engine}, or this client talking to a remote daemon.
+    the {!Engine}, or this client talking to a remote daemon.
 
     Each request/reply round-trip is timed into the
     [server.client.rpc_ms] telemetry histogram. {!observe_batch}

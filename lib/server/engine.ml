@@ -1,102 +1,60 @@
 module Decomposition = Synts_graph.Decomposition
-module Vector = Synts_clock.Vector
 module Stamp_store = Synts_clock.Stamp_store
 module Event_stream = Synts_core.Event_stream
 module Ingest = Synts_ingest.Ingest
 module Tm = Synts_telemetry.Telemetry
 
 let m_batches =
-  Tm.Counter.v ~help:"Batches stamped by the sharded engine"
-    "server.engine.batches"
+  Tm.Counter.v ~help:"Batches stamped by the engine" "server.engine.batches"
 
 let m_events =
-  Tm.Counter.v ~help:"Events stamped by the sharded engine"
-    "server.engine.events"
-
-let m_shards =
-  Tm.Gauge.v ~help:"Worker shards of the most recently created engine"
-    "server.engine.shards"
+  Tm.Counter.v ~help:"Events stamped by the engine" "server.engine.events"
 
 let m_dropped =
   Tm.Counter.v ~help:"Resolved stamps dropped to engine queue overflow"
     "server.engine.dropped_events"
 
-(* Per-shard instrumentation. Each worker domain records only into its
-   own registry, so the hot sweep never contends on a metric cell, and
-   the counters are chosen to be {e shard-count invariant}: summed over
-   the k shards of a run they equal the single-shard oracle's values
-   (cells: each shard writes |owned components| cells per event, which
-   sums to the dimension; owned messages: exactly one shard owns each
-   edge group; owned-group histogram: one observation per message, made
-   by its owner). That invariance is what lets [Obs.Merge] reconstruct
-   the 1-domain registry bit-identically — property-tested in
-   [test/test_obs.ml]. *)
-type shard_stats = {
+(* Engine-private instrumentation, so concurrent daemons (benches spawn
+   several) keep separate counts. The sweep pays only plain int bumps;
+   everything registry-visible is flushed once per batch. *)
+type stats = {
   registry : Tm.registry;
   c_cells : Tm.Counter.t;
-  c_owned : Tm.Counter.t;
-  h_groups : Tm.Histogram.t;
-  c_internal : Tm.Counter.t option;  (* coordinator shard only *)
-  mutable swept_events : int;
-  scratch : int array;
-      (* per-group owned-message tallies for the current batch, flushed
-         into [h_groups] with one bucket walk per distinct group *)
+  c_messages : Tm.Counter.t;
+  c_internal : Tm.Counter.t;
+  mutable swept : int;
 }
 
-let make_shard_stats ~coordinator ~dim =
+let make_stats () =
   let registry = Tm.create_registry () in
   {
     registry;
     c_cells =
-      Tm.Counter.v ~registry ~help:"Clock cells written by this shard"
+      Tm.Counter.v ~registry ~help:"Clock cells written by the engine"
         "server.engine.cells";
-    c_owned =
-      Tm.Counter.v ~registry
-        ~help:"Messages whose edge group this shard owns"
+    c_messages =
+      Tm.Counter.v ~registry ~help:"Messages stamped by the engine"
         "server.engine.owned_messages";
-    h_groups =
-      Tm.Histogram.v ~registry
-        ~help:"Edge-group ids stamped by this shard (load-skew profile)"
-        "server.engine.owned_groups";
     c_internal =
-      (if coordinator then
-         Some
-           (Tm.Counter.v ~registry
-              ~help:"Internal events resolved on the coordinator"
-              "server.engine.internal_events")
-       else None);
-    swept_events = 0;
-    scratch = Array.make dim 0;
+      Tm.Counter.v ~registry ~help:"Internal events resolved by the engine"
+        "server.engine.internal_events";
+    swept = 0;
   }
 
-(* Coordinator/worker handshake: the coordinator bumps [gen] to publish a
-   batch, workers sweep their slab and bump [done_count]. The mutex
-   hand-offs give the happens-before edges that make the coordinator's
-   post-barrier slab reads safe. *)
-type shared = {
-  mutex : Mutex.t;
-  go : Condition.t;
-  finished : Condition.t;
-  mutable gen : int;
-  mutable batch : (Ingest.event array * int array) option;
-  mutable done_count : int;
-  mutable stopping : bool;
-}
-
 type t = {
-  group_of_edge : int -> int -> int;
+  index : Decomposition.index;
       (* The channel -> component-slot map of the current membership
-         epoch; raises [Not_found] off-topology. *)
+         epoch. *)
   n : int;
   dim : int;
-  plan : Shard.t;
-  slabs : Stamp_store.t array;
-      (* One slab per shard: rows [0..n-1] are per-process clock slices,
-         one output row per batch event is pushed above them and the slab
-         is truncated back after assembly. *)
-  shared : shared option;  (* None when the sweep runs inline. *)
-  domains : unit Domain.t array;
-  stats : shard_stats array;  (* one per shard, same indexing as slabs *)
+  slab : Stamp_store.t;
+      (* Rows [0..n-1] are the per-process clocks; the last batch's event
+         [i] has row [n + i] above them, until the next sweep. *)
+  mutable tickets : int array;
+      (* The last batch's event [i]: its ticket when internal, -1 when a
+         message. During validation it holds each message's group. *)
+  mutable batch : int;  (* events in the last batch *)
+  stats : stats;
   mutable events : Event_stream.t;
   resolved : (int * Synts_core.Internal_events.stamp) Queue.t;
   pending_cap : int;
@@ -106,143 +64,37 @@ type t = {
   mutable stopped : bool;
 }
 
-(* One shard's pass over a batch: componentwise merge + increment on the
-   columns it owns, endpoints adopt the stamp. Identical event order on
-   every shard is what makes the reassembled stamps bit-identical to the
-   single-domain oracle. *)
-let sweep plan shard slab stats events groups =
-  (* The hot loop pays only plain int bumps for telemetry; everything
-     registry-visible is flushed once per batch below. Flushing group
-     tallies via [observe_n] keeps the histogram structurally identical
-     to per-message observes (group ids are small integers, so the
-     [x *. n] sums are exact) — the merge property depends on that. *)
-  let owned = ref 0 and internals = ref 0 in
-  let scratch = stats.scratch in
-  Array.iteri
-    (fun i ev ->
-      match ev with
-      | Ingest.Internal _ ->
-          ignore (Stamp_store.push_zero slab);
-          incr internals
-      | Ingest.Message { src; dst } ->
-          let r = Stamp_store.push_merge slab ~a:src ~b:dst in
-          let g = groups.(i) in
-          if Shard.owner plan g = shard then begin
-            Stamp_store.row_incr slab r (Shard.slot plan g);
-            incr owned;
-            scratch.(g) <- scratch.(g) + 1
-          end;
-          Stamp_store.blit_rows slab ~src:r ~dst:src;
-          Stamp_store.blit_rows slab ~src:r ~dst:dst)
-    events;
-  let len = Array.length events in
-  stats.swept_events <- stats.swept_events + len;
-  Tm.Counter.add stats.c_cells
-    (len * Array.length (Shard.components plan shard));
-  Tm.Counter.add stats.c_owned !owned;
-  Array.iteri
-    (fun g n ->
-      if n > 0 then begin
-        Tm.Histogram.observe_n stats.h_groups (float_of_int g) n;
-        scratch.(g) <- 0
-      end)
-    scratch;
-  Option.iter (fun c -> Tm.Counter.add c !internals) stats.c_internal
-
-let worker plan shard slab stats shared =
-  let rec loop last =
-    Mutex.lock shared.mutex;
-    while shared.gen = last && not shared.stopping do
-      Condition.wait shared.go shared.mutex
-    done;
-    if shared.stopping then Mutex.unlock shared.mutex
-    else begin
-      let gen = shared.gen in
-      let events, groups = Option.get shared.batch in
-      Mutex.unlock shared.mutex;
-      sweep plan shard slab stats events groups;
-      Mutex.lock shared.mutex;
-      shared.done_count <- shared.done_count + 1;
-      Condition.broadcast shared.finished;
-      Mutex.unlock shared.mutex;
-      loop gen
-    end
-  in
-  loop 0
-
-let make ~shards ~pending_cap ~init ~first_ticket ~n ~dim ~group_of_edge =
-  if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
+let of_layout ?(pending_cap = 65536) ?init ?(first_ticket = 0) ~n ~dim ~index
+    () =
   if pending_cap < 1 then invalid_arg "Engine.create: pending_cap must be >= 1";
   if n < 0 then invalid_arg "Engine.create: negative process count";
   if dim < 1 then invalid_arg "Engine.create: dimension must be >= 1";
   if first_ticket < 0 then invalid_arg "Engine.create: negative first ticket";
+  let slab = Stamp_store.create ~capacity:(max 64 (2 * n)) dim in
+  for _ = 1 to n do
+    ignore (Stamp_store.push_zero slab)
+  done;
   (match init with
   | None -> ()
   | Some rows ->
       if Array.length rows <> n then
         invalid_arg "Engine.create: init needs one row per process";
-      Array.iter
-        (fun r ->
+      Array.iteri
+        (fun p r ->
           if Array.length r <> dim then
-            invalid_arg "Engine.create: init row width mismatch")
+            invalid_arg "Engine.create: init row width mismatch";
+          Array.iteri
+            (fun k x -> if x <> 0 then Stamp_store.row_set slab p k x)
+            r)
         rows);
-  let plan = Shard.plan ~dimension:dim ~shards in
-  let k = Shard.shards plan in
-  Tm.Gauge.set m_shards k;
-  let slabs =
-    Array.init k (fun s ->
-        let comps = Shard.components plan s in
-        let slab =
-          Stamp_store.create ~capacity:(max 64 (2 * n)) (Array.length comps)
-        in
-        for p = 0 to n - 1 do
-          ignore (Stamp_store.push_zero slab);
-          match init with
-          | None -> ()
-          | Some rows ->
-              Array.iteri
-                (fun j c ->
-                  if rows.(p).(c) <> 0 then
-                    Stamp_store.row_set slab p j rows.(p).(c))
-                comps
-        done;
-        slab)
-  in
-  let shared =
-    if k = 1 then None
-    else
-      Some
-        {
-          mutex = Mutex.create ();
-          go = Condition.create ();
-          finished = Condition.create ();
-          gen = 0;
-          batch = None;
-          done_count = 0;
-          stopping = false;
-        }
-  in
-  let stats =
-    Array.init k (fun s -> make_shard_stats ~coordinator:(s = 0) ~dim)
-  in
-  let domains =
-    match shared with
-    | None -> [||]
-    | Some sh ->
-        (* Shard 0 sweeps on the coordinator's domain; 1..k-1 get workers. *)
-        Array.init (k - 1) (fun i ->
-            Domain.spawn (fun () ->
-                worker plan (i + 1) slabs.(i + 1) stats.(i + 1) sh))
-  in
   {
-    group_of_edge;
+    index;
     n;
     dim;
-    plan;
-    slabs;
-    shared;
-    domains;
-    stats;
+    slab;
+    tickets = Array.make 64 0;
+    batch = 0;
+    stats = make_stats ();
     events = Event_stream.create ~dimension:dim ~n;
     resolved = Queue.create ();
     pending_cap;
@@ -252,136 +104,121 @@ let make ~shards ~pending_cap ~init ~first_ticket ~n ~dim ~group_of_edge =
     stopped = false;
   }
 
-let create ?(shards = 1) ?(pending_cap = 65536) d =
-  make ~shards ~pending_cap ~init:None ~first_ticket:0
+let create ?pending_cap d =
+  of_layout ?pending_cap
     ~n:(Decomposition.graph_vertices d)
     ~dim:(max 1 (Decomposition.size d))
-    ~group_of_edge:(fun u v -> Decomposition.group_of_edge d u v)
+    ~index:(Decomposition.index d) ()
 
-let of_layout ?(shards = 1) ?(pending_cap = 65536) ?init ?(first_ticket = 0) ~n
-    ~dim ~group_of_edge () =
-  make ~shards ~pending_cap ~init ~first_ticket ~n ~dim ~group_of_edge
-
-let shards t = Shard.shards t.plan
 let processes t = t.n
 let dimension t = t.dim
 let pending t = Queue.length t.resolved
 let dropped t = t.dropped
 let next_ticket t = t.ticket_base + t.issued
+let process_vectors t = Array.init t.n (Stamp_store.get t.slab)
 
-(* Reassemble the per-process clock rows from the disjoint shard slices —
-   the state a membership reshard carries into the next engine. Only safe
-   between batches (same discipline as observe_batch itself). *)
-let process_vectors t =
-  let k = Shard.shards t.plan in
-  Array.init t.n (fun p ->
-      let v = Array.make t.dim 0 in
-      for s = 0 to k - 1 do
-        let comps = Shard.components t.plan s in
-        let slab = t.slabs.(s) in
-        for j = 0 to Array.length comps - 1 do
-          v.(comps.(j)) <- Stamp_store.unsafe_cell slab p j
-        done
-      done;
-      v)
+let telemetry_snapshot t = Tm.snapshot ~registry:t.stats.registry ()
 
-let telemetry_snapshots t =
-  Array.to_list
-    (Array.map (fun s -> Tm.snapshot ~registry:s.registry ()) t.stats)
+let load t =
+  (t.stats.swept, Tm.Counter.value t.stats.c_cells,
+   Tm.Counter.value t.stats.c_messages)
 
-let shard_loads t =
-  Array.mapi
-    (fun i s ->
-      ( i,
-        s.swept_events,
-        Tm.Counter.value s.c_cells,
-        Tm.Counter.value s.c_owned ))
-    t.stats
-  |> Array.to_list
+(* Bounded like a session's pending queue: when a client never drains,
+   the oldest resolved stamp is dropped (and counted) rather than
+   growing the daemon without bound. *)
+let enqueue t resolved =
+  List.iter
+    (fun (ticket, stamp) ->
+      if Queue.length t.resolved >= t.pending_cap then begin
+        ignore (Queue.pop t.resolved);
+        t.dropped <- t.dropped + 1;
+        Tm.Counter.incr m_dropped
+      end;
+      Queue.push (t.ticket_base + ticket, stamp) t.resolved)
+    resolved
+
+(* Endpoint [p] of the message stamped in row [r]. Its clock row still
+   holds its previous stamp, the [prev] of any internal event waiting on
+   it; vectors are built only then. *)
+let endpoint t p r =
+  if Event_stream.waiting t.events ~proc:p then
+    enqueue t
+      (Event_stream.record_message t.events ~proc:p
+         ~prev:(Stamp_store.get t.slab p) (Stamp_store.get t.slab r))
+  else Event_stream.pass_message t.events ~proc:p
 
 let validate t events =
-  Array.map
-    (fun ev ->
+  Array.iteri
+    (fun i ev ->
       match ev with
       | Ingest.Internal { proc } ->
           if proc < 0 || proc >= t.n then
             invalid_arg
               (Printf.sprintf "Engine: internal event on unknown process %d"
-                 proc);
-          -1
+                 proc)
       | Ingest.Message { src; dst } -> (
-          try t.group_of_edge src dst
-          with Not_found ->
-            invalid_arg
-              (Printf.sprintf
-                 "Engine: channel (%d, %d) outside the decomposition" src dst)))
+          match Decomposition.lookup t.index src dst with
+          | -1 ->
+              invalid_arg
+                (Printf.sprintf
+                   "Engine: channel (%d, %d) outside the decomposition" src dst)
+          | g -> t.tickets.(i) <- g))
     events
 
-let observe_batch t events =
+let flush_stats t len internals =
+  let s = t.stats in
+  s.swept <- s.swept + len;
+  Tm.Counter.add s.c_cells (len * t.dim);
+  Tm.Counter.add s.c_messages (len - internals);
+  Tm.Counter.add s.c_internal internals
+
+(* Componentwise merge of the endpoints' clocks plus one on the
+   message's group, adopted by both endpoints — Fig. 5, one row per
+   event. Internal events never touch the clocks; they take a zero row so
+   that event [i] keeps row [n + i]. *)
+let sweep t events =
   if t.stopped then invalid_arg "Engine: stopped";
   let len = Array.length events in
-  if len = 0 then [||]
-  else begin
-    (* Validate the whole batch up front so a bad event mutates nothing. *)
-    let groups = validate t events in
+  if Array.length t.tickets < len then
+    t.tickets <- Array.make (max len (2 * Array.length t.tickets)) 0;
+  (* Validate the whole batch up front so a bad event mutates nothing. *)
+  validate t events;
+  Stamp_store.truncate t.slab t.n;
+  t.batch <- len;
+  if len > 0 then begin
     Tm.Counter.incr m_batches;
     Tm.Counter.add m_events len;
-    (match t.shared with
-    | None -> sweep t.plan 0 t.slabs.(0) t.stats.(0) events groups
-    | Some sh ->
-        Mutex.lock sh.mutex;
-        sh.batch <- Some (events, groups);
-        sh.done_count <- 0;
-        sh.gen <- sh.gen + 1;
-        Condition.broadcast sh.go;
-        Mutex.unlock sh.mutex;
-        sweep t.plan 0 t.slabs.(0) t.stats.(0) events groups;
-        Mutex.lock sh.mutex;
-        while sh.done_count < Array.length t.domains do
-          Condition.wait sh.finished sh.mutex
-        done;
-        sh.batch <- None;
-        Mutex.unlock sh.mutex);
-    let k = Shard.shards t.plan in
-    (* Bounded like a session's pending queue: when a client never
-       drains, the oldest resolved stamp is dropped (and counted) rather
-       than growing the daemon without bound. *)
-    let enqueue resolved =
-      List.iter
-        (fun (ticket, stamp) ->
-          if Queue.length t.resolved >= t.pending_cap then begin
-            ignore (Queue.pop t.resolved);
-            t.dropped <- t.dropped + 1;
-            Tm.Counter.incr m_dropped
-          end;
-          Queue.push (t.ticket_base + ticket, stamp) t.resolved)
-        resolved
-    in
-    let outcomes =
-      Array.mapi
-        (fun i ev ->
-          match ev with
-          | Ingest.Internal { proc } ->
-              let ticket = Event_stream.record_internal t.events ~proc in
-              t.issued <- t.issued + 1;
-              Ingest.Deferred (t.ticket_base + ticket)
-          | Ingest.Message { src; dst } ->
-              let v = Array.make t.dim 0 in
-              for s = 0 to k - 1 do
-                let comps = Shard.components t.plan s in
-                let slab = t.slabs.(s) in
-                for j = 0 to Array.length comps - 1 do
-                  v.(comps.(j)) <- Stamp_store.unsafe_cell slab (t.n + i) j
-                done
-              done;
-              enqueue (Event_stream.record_message t.events ~proc:src v);
-              enqueue (Event_stream.record_message t.events ~proc:dst v);
-              Ingest.Stamped v)
-        events
-    in
-    Array.iter (fun slab -> Stamp_store.truncate slab t.n) t.slabs;
-    outcomes
+    let internals = ref 0 in
+    for i = 0 to len - 1 do
+      match Array.unsafe_get events i with
+      | Ingest.Internal { proc } ->
+          ignore (Stamp_store.push_zero t.slab);
+          t.tickets.(i) <-
+            t.ticket_base + Event_stream.record_internal t.events ~proc;
+          t.issued <- t.issued + 1;
+          incr internals
+      | Ingest.Message { src; dst } ->
+          let r = Stamp_store.push_merge t.slab ~a:src ~b:dst in
+          Stamp_store.row_incr t.slab r t.tickets.(i);
+          endpoint t src r;
+          endpoint t dst r;
+          Stamp_store.blit_rows t.slab ~src:r ~dst:src;
+          Stamp_store.blit_rows t.slab ~src:r ~dst:dst;
+          t.tickets.(i) <- -1
+    done;
+    flush_stats t len !internals
   end
+
+let rows t = Stamp_store.data t.slab
+let tickets t = t.tickets
+let batch_stamp t i = Stamp_store.get t.slab (t.n + i)
+
+let observe_batch t events =
+  sweep t events;
+  Array.init t.batch (fun i ->
+      match t.tickets.(i) with
+      | -1 -> Ingest.Stamped (batch_stamp t i)
+      | ticket -> Ingest.Deferred ticket)
 
 let observe t ev = (observe_batch t [| ev |]).(0)
 
@@ -394,7 +231,7 @@ let finish t =
   let flushed =
     List.map
       (fun (ticket, stamp) -> (t.ticket_base + ticket, stamp))
-      (Event_stream.finish t.events)
+      (Event_stream.finish t.events ~prev:(Stamp_store.get t.slab))
   in
   let out = drain t @ flushed in
   (* Event_stream.finish retires the stream; tickets keep increasing
@@ -404,18 +241,7 @@ let finish t =
   t.events <- Event_stream.create ~dimension:t.dim ~n:t.n;
   out
 
-let stop t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    match t.shared with
-    | None -> ()
-    | Some sh ->
-        Mutex.lock sh.mutex;
-        sh.stopping <- true;
-        Condition.broadcast sh.go;
-        Mutex.unlock sh.mutex;
-        Array.iter Domain.join t.domains
-  end
+let stop t = t.stopped <- true
 
 module Sink = struct
   type nonrec t = t

@@ -1,60 +1,52 @@
-(** The sharded streaming stamping engine behind [synts serve].
+(** The streaming Fig. 5 stamping engine behind [synts serve].
 
     An engine conforms to {!Synts_ingest.Ingest.S}, so everything that
-    feeds a {!Synts_session.Session} can feed an engine unchanged — but
-    batches are stamped by [shards] OCaml domains in parallel, each
-    owning a disjoint slice of the timestamp components (see {!Shard}).
+    feeds a {!Synts_session.Session} can feed an engine unchanged. It
+    stamps on one domain into one {!Synts_clock.Stamp_store} slab: rows
+    [0 .. n-1] are the per-process clocks, and a batch's event [i] gets
+    row [n + i] above them — the componentwise max of its endpoints'
+    rows plus one on its edge group, which both endpoints then adopt.
+    Stamps are bit-identical to {!Synts_core.Online.stamper}, which stays
+    in-tree as the conformance oracle.
 
-    Exactness is by construction, not by luck: the online stamping rule
-    is componentwise, every shard sweeps the {e same} ordered batch over
-    its own {!Synts_clock.Stamp_store} slab (per-process clock slices in
-    the first [n] rows, one output row per batch event above them), and
-    the coordinator reassembles full vectors from the disjoint slices.
-    The result is bit-identical to the deterministic single-domain sweep
-    — property-tested against {!Synts_core.Online.stamper}, which stays
-    in-tree as the conformance oracle. With [shards = 1] (or a
-    single-component decomposition) no domain is spawned and the sweep
-    runs inline on the caller's domain.
+    The serve loop never asks for a vector: it calls {!sweep} and codes
+    the reply straight from {!rows} ({!Protocol.put_outcome_rows}).
+    {!observe_batch} builds vectors from the same rows for in-process
+    callers.
 
-    Internal events never touch the clocks, so they are resolved on the
-    coordinator through {!Synts_core.Event_stream} using the reassembled
-    message stamps; tickets and resolved stamps behave exactly as a
-    session's. *)
+    Internal events never touch the clocks. They resolve through
+    {!Synts_core.Event_stream} during the sweep, in event order, with
+    [prev] read from the process's clock row; tickets and resolved
+    stamps behave exactly as a session's. *)
 
 type t
 
-val create : ?shards:int -> ?pending_cap:int -> Synts_graph.Decomposition.t -> t
-(** [create ~shards d] builds an engine over decomposition [d] with at
-    most [shards] (default 1, clamped to the component count) worker
-    domains. [pending_cap] (default 65536, mirroring
-    {!Synts_session.Session}) bounds the resolved-stamp queue: beyond it
-    the oldest entry is dropped and counted in {!dropped}. [shards < 1]
-    or [pending_cap < 1] raises [Invalid_argument]. *)
+val create : ?pending_cap:int -> Synts_graph.Decomposition.t -> t
+(** [create d] builds an engine over decomposition [d].
+    [pending_cap] (default 65536, mirroring {!Synts_session.Session})
+    bounds the resolved-stamp queue: beyond it the oldest entry is
+    dropped and counted in {!dropped}. [pending_cap < 1] raises
+    [Invalid_argument]. *)
 
 val of_layout :
-  ?shards:int ->
   ?pending_cap:int ->
   ?init:int array array ->
   ?first_ticket:int ->
   n:int ->
   dim:int ->
-  group_of_edge:(int -> int -> int) ->
+  index:Synts_graph.Decomposition.index ->
   unit ->
   t
 (** An engine over an explicit layout instead of a static decomposition —
-    the constructor a membership reshard uses. [group_of_edge] maps a
-    channel to its component slot (raising [Not_found] off-topology;
-    typically [Synts_graph.Membership.slot_of_edge] of the epoch's
-    membership). [init] (default all zeros) seeds the per-process clock
-    rows — the previous engine's {!process_vectors} translated into the
-    new epoch — and must be [n] rows of width [dim]. [first_ticket]
+    the constructor a membership reshard uses. [index] maps a channel to
+    its component slot (typically [Synts_graph.Membership.index] of the
+    epoch's membership). [init] (default all zeros) seeds the per-process
+    clock rows — the previous engine's {!process_vectors} translated into
+    the new epoch — and must be [n] rows of width [dim]. [first_ticket]
     (default 0) continues the previous engine's ticket numbering
     ({!next_ticket}) so clients see one monotone ticket space across
     epochs. [dim < 1], [n < 0] or ill-shaped [init] raise
     [Invalid_argument]. *)
-
-val shards : t -> int
-(** Effective shard count after clamping. *)
 
 val processes : t -> int
 val dimension : t -> int
@@ -73,30 +65,46 @@ val next_ticket : t -> int
     space stays monotone. *)
 
 val process_vectors : t -> int array array
-(** The per-process clock vectors, reassembled from the shard slices.
-    Row [p] is process [p]'s current clock (width {!dimension}). Only
-    meaningful between batches; this is the state {!of_layout}'s [init]
+(** The per-process clock vectors: row [p] is process [p]'s current
+    clock (width {!dimension}). This is the state {!of_layout}'s [init]
     carries across a membership epoch change. *)
 
-val telemetry_snapshots : t -> Synts_telemetry.Telemetry.snapshot list
-(** One snapshot per shard, in shard order, from the per-shard private
-    registries (each worker domain records only into its own, so the hot
-    sweep is contention-free). The per-shard counters are shard-count
-    invariant: merging these snapshots with [Obs.Merge.snapshots]
-    reconstructs the single-shard oracle registry bit-identically. *)
+val telemetry_snapshot : t -> Synts_telemetry.Telemetry.snapshot
+(** The engine-private registry: cells written, messages stamped and
+    internal events. *)
 
-val shard_loads : t -> (int * int * int * int) list
-(** [(shard, events swept, cells written, messages owned)] per shard —
-    the admin channel's load-skew rows. *)
+val load : t -> int * int * int
+(** [(events swept, cells written, messages stamped)] since creation —
+    the admin channel's load row. *)
+
+(** {1 The row path} *)
+
+val sweep : t -> Synts_ingest.Ingest.event array -> unit
+(** Stamp one ordered batch into the slab without building a vector per
+    stamp. Afterwards, until the next sweep, event [i] of the batch is a
+    message stamped with row [processes t + i] of {!rows} when
+    [(tickets t).(i) < 0], and otherwise an internal event deferred under
+    ticket [(tickets t).(i)]. [Message] events outside the layout and
+    internal events on unknown processes raise [Invalid_argument] before
+    any state changes. *)
+
+val rows : t -> int array
+(** The slab, [dimension t] words per row; see {!sweep}. *)
+
+val tickets : t -> int array
+(** The last batch's tickets, [-1] for messages; see {!sweep}. *)
+
+val batch_stamp : t -> int -> Synts_clock.Vector.t
+(** A fresh vector of the last batch's event [i] row. *)
+
+(** {1 Ingestion} *)
 
 val observe : t -> Synts_ingest.Ingest.event -> Synts_ingest.Ingest.outcome
 (** A batch of one — see {!observe_batch}. *)
 
 val observe_batch :
   t -> Synts_ingest.Ingest.event array -> Synts_ingest.Ingest.outcome array
-(** Stamp one ordered batch: every shard sweeps it in parallel, then the
-    outcomes are assembled in event order. [Message] events outside the
-    decomposition raise [Invalid_argument] (before any state changes). *)
+(** {!sweep}, then one outcome per event, in event order. *)
 
 val drain :
   t -> (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list
@@ -104,12 +112,13 @@ val drain :
 val finish :
   t -> (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list
 (** Flush pending internal events ([succ = +∞]) and reset the internal
-    event stream; message clocks are {e not} reset. Tickets keep
-    increasing across a [finish]. *)
+    event stream; message clocks are {e not} reset, but the next
+    internal event of each process has a zero [prev] until the process
+    takes part in a message. Tickets keep increasing across a
+    [finish]. *)
 
 val stop : t -> unit
-(** Join the worker domains. Idempotent; the engine must not be used
-    afterwards. *)
+(** Retire the engine. Idempotent; it must not be used afterwards. *)
 
 module Sink : Synts_ingest.Ingest.S with type t = t
 (** The {!Synts_ingest.Ingest.S} conformance. *)

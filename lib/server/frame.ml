@@ -1,3 +1,5 @@
+module Wire = Synts_clock.Wire
+
 let max_frame = 16 * 1024 * 1024
 
 let put_len b off len =
@@ -12,8 +14,7 @@ let get_len b off =
   lor (Char.code (Bytes.get b (off + 2)) lsl 8)
   lor Char.code (Bytes.get b (off + 3))
 
-let write_all fd b =
-  let len = Bytes.length b in
+let write_all fd b len =
   let off = ref 0 in
   while !off < len do
     off := !off + Unix.write fd b !off (len - !off)
@@ -25,7 +26,20 @@ let send fd s =
   let b = Bytes.create (4 + len) in
   put_len b 0 len;
   Bytes.blit_string s 0 b 4 len;
-  write_all fd b
+  write_all fd b (4 + len)
+
+let put out frame =
+  let len = Wire.length frame in
+  if len > max_frame then failwith "frame too large";
+  Wire.put_byte out ((len lsr 24) land 0xff);
+  Wire.put_byte out ((len lsr 16) land 0xff);
+  Wire.put_byte out ((len lsr 8) land 0xff);
+  Wire.put_byte out (len land 0xff);
+  Wire.put_contents out frame
+
+let flush fd out =
+  write_all fd (Wire.buffer out) (Wire.length out);
+  Wire.reset out
 
 (* Read exactly [len] bytes; [`Eof] only when the stream closes cleanly
    before the first byte. *)

@@ -13,6 +13,15 @@ val max_frame : int
 val send : Unix.file_descr -> string -> unit
 (** Write one already-framed message (length prefix added here). *)
 
+val put : Synts_clock.Wire.writer -> Synts_clock.Wire.writer -> unit
+(** [put out frame] appends the length prefix and the bytes of [frame]
+    to [out], as {!send} would write them: how a read's replies gather
+    in one buffer before one {!flush}. Raises [Failure] past
+    {!max_frame}. *)
+
+val flush : Unix.file_descr -> Synts_clock.Wire.writer -> unit
+(** Write every byte of the buffer, then empty it. *)
+
 val recv : Unix.file_descr -> [ `Frame of string | `Eof ]
 (** Read one framed message (checksum frame included, not yet
     validated). [`Eof] on orderly close before a length prefix; raises

@@ -136,12 +136,8 @@ let outcomes_capacity outcomes =
       + (Array.length outcomes * (2 + (2 * Array.length v)))
   | None -> 8 + (Array.length outcomes * 4)
 
-let encode_response r =
-  let w =
-    Wire.writer
-      (match r with Outcomes outcomes -> outcomes_capacity outcomes | _ -> 64)
-  in
-  (match r with
+let put_response w r =
+  match r with
   | Welcome { processes; dimension; shards; epoch } ->
       Wire.put_byte w 0;
       Wire.put_varint w processes;
@@ -197,8 +193,38 @@ let encode_response r =
       Wire.put_byte w 7;
       Wire.put_varint w epoch;
       Wire.put_varint w processes;
-      Wire.put_varint w dimension);
+      Wire.put_varint w dimension
+
+let encode_response r =
+  let w =
+    Wire.writer
+      (match r with Outcomes outcomes -> outcomes_capacity outcomes | _ -> 64)
+  in
+  put_response w r;
   Wire.contents w
+
+(* The [Outcomes] layout above, with each stamp read from its slab row
+   and delta-coded against the previous stamp's row in place. *)
+let put_outcome_rows w ~rows ~dim ~first ~tickets ~count =
+  Wire.put_byte w 8;
+  Wire.put_varint w count;
+  let last = ref (-1) in
+  for i = 0 to count - 1 do
+    let ticket = tickets.(i) in
+    if ticket < 0 then begin
+      let off = (first + i) * dim in
+      Wire.put_byte w 0;
+      if !last < 0 then Wire.put_row w rows ~off ~len:dim
+      else
+        Wire.put_delta_row w ~prev:rows ~prev_off:!last ~prev_len:dim rows
+          ~off ~len:dim;
+      last := off
+    end
+    else begin
+      Wire.put_byte w 1;
+      Wire.put_varint w ticket
+    end
+  done
 
 let get_outcome r st =
   match Wire.get_byte r with

@@ -37,6 +37,8 @@ type request =
 
 type response =
   | Welcome of { processes : int; dimension : int; shards : int; epoch : int }
+      (** [shards] is always 1; it stays so the frame layout does not
+          change. *)
   | Outcomes of Synts_ingest.Ingest.outcome array
   | Resolved of
       (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list
@@ -58,6 +60,24 @@ type response =
 
 val encode_request : request -> string
 val encode_response : response -> string
+
+val put_response : Synts_clock.Wire.writer -> response -> unit
+(** {!encode_response}, appended to a writer the caller reuses. *)
+
+val put_outcome_rows :
+  Synts_clock.Wire.writer ->
+  rows:int array ->
+  dim:int ->
+  first:int ->
+  tickets:int array ->
+  count:int ->
+  unit
+(** An [Outcomes] reply written straight from stamp rows, as
+    {!Engine.sweep} leaves them: event [i < count] is a message stamped
+    with the [dim] words of [rows] from [(first + i) * dim] when
+    [tickets.(i) < 0], and otherwise an internal event deferred under
+    ticket [tickets.(i)]. The bytes equal {!put_response} of the same
+    outcomes as vectors. *)
 
 (** The decoders are total: they never raise, and they accept exactly
     the canonical encodings — [decode s = Ok m] implies [encode m = s].

@@ -1,9 +1,18 @@
 (** The [synts serve] daemon: a select loop over Unix or TCP sockets.
 
-    One single-threaded loop owns the listening socket and every client
-    connection; stamping parallelism lives below it, in the engine's
-    worker domains. Clients speak the {!Frame} transport carrying
-    {!Protocol} messages; all protocol logic is in {!Service}.
+    One single-threaded loop owns the listening socket, the engine and
+    every client connection. Clients speak the {!Frame} transport
+    carrying {!Protocol} messages; all protocol logic is in {!Service}.
+    The replies to one read of a connection leave in one write.
+
+    File descriptors are a resource clients can exhaust. A failed
+    [accept] is counted ([server.accept_errors]) and never fatal; while
+    fds are short the listeners rest for a moment instead of spinning.
+    A connection whose fd number is at or past a fixed cap below
+    [FD_SETSIZE] is closed on arrival and counted
+    ([server.refused_connections]), so every connection the loop selects
+    on stays valid for [select] — also in a daemon started with
+    {!spawn}, whose fd table its in-process clients share.
 
     A {!Protocol.Shutdown} request from any client answers [Bye],
     closes every connection, stops the engine and returns. *)
@@ -16,7 +25,6 @@ val address_of_string : string -> (address, string) result
 (** ["host:port"] is TCP; anything else is a Unix socket path. *)
 
 val serve :
-  ?shards:int ->
   ?check:bool ->
   ?offline:bool ->
   ?window:int ->
@@ -38,7 +46,6 @@ type handle
     by [synts load --spawn] and the smoke tests). *)
 
 val spawn :
-  ?shards:int ->
   ?check:bool ->
   ?offline:bool ->
   ?window:int ->

@@ -21,22 +21,26 @@ let m_dups =
   Tm.Counter.v ~help:"Duplicate Observe requests answered from the reply cache"
     "server.duplicates"
 
+(* The reply to [last_seq], replayed on duplicate delivery, is kept in
+   the form its request came in: the response [handle] returned, or the
+   frame [handle_raw] wrote. A replay in the other form converts it once;
+   the encoding is deterministic, so the bytes are the same either way. *)
 type conn = {
   id : int;
   mutable last_seq : int;  (* -1 until the first Observe *)
   mutable cached : Protocol.response option;
-      (* reply to [last_seq], replayed on duplicate delivery *)
+  frame : Wire.writer;  (* empty unless the cached reply is a frame *)
   mutable events_in : int;
   mutable stamps_out : int;
   mutable dedup_hits : int;
 }
 
-(* The stamping backend behind the protocol: the sharded Fig. 5 engine,
-   or the streaming offline pipeline. Both are driven through their
-   packed {!Ingest.sink}; only shard count, shutdown and the verify
-   oracle are backend-specific. *)
+(* The stamping backend behind the protocol: the Fig. 5 engine, or the
+   streaming offline pipeline. Both are driven through their packed
+   {!Ingest.sink}; the engine's byte path, churn and the verify oracle
+   are backend-specific. *)
 type backend =
-  | Sharded of Engine.t
+  | Online of Engine.t
   | Offline_stream of Synts_ingest.Offline_sink.t
 
 (* Check-mode arrival log: events interleaved with the membership deltas
@@ -51,7 +55,6 @@ type t = {
   mutable sink : Ingest.sink;
   decomposition : Decomposition.t;  (* epoch-0 layout *)
   membership : Membership.t option;  (* None for the offline backend *)
-  requested_shards : int;
   mutable carry :
     (Ingest.ticket * Synts_core.Internal_events.stamp) list;
       (* Resolved stamps flushed out of a retired engine at an epoch
@@ -70,6 +73,9 @@ type t = {
       (* Service-private, so concurrent daemons (benches spawn several)
          don't pool their latency histograms. *)
   stamp_ms : Tm.Histogram.t;
+  body : Wire.writer;  (* scratch: the reply body being written *)
+  reply : Wire.writer;  (* scratch: a framed reply that is not cached *)
+  mutable bye : bool;  (* the last byte-path reply was [Bye] *)
 }
 
 (* The graph a decomposition covers, rebuilt from its own groups — the
@@ -80,13 +86,13 @@ let graph_of_decomposition d =
     (Decomposition.graph_vertices d)
     (List.concat_map Decomposition.edges_of_group (Decomposition.groups d))
 
-let create ?shards ?(check = false) ?(offline = false) ?window d =
+let create ?(check = false) ?(offline = false) ?window d =
   let backend =
     if offline then
       Offline_stream
         (Synts_ingest.Offline_sink.create ?window
            ~n:(Decomposition.graph_vertices d) ())
-    else Sharded (Engine.create ?shards d)
+    else Online (Engine.create d)
   in
   let membership =
     if offline then None
@@ -94,7 +100,7 @@ let create ?shards ?(check = false) ?(offline = false) ?window d =
   in
   let sink =
     match backend with
-    | Sharded e -> Engine.ingest e
+    | Online e -> Engine.ingest e
     | Offline_stream s -> Synts_ingest.Offline_sink.ingest s
   in
   let registry = Tm.create_registry () in
@@ -110,7 +116,6 @@ let create ?shards ?(check = false) ?(offline = false) ?window d =
     sink;
     decomposition = d;
     membership;
-    requested_shards = (match shards with Some k -> k | None -> 1);
     carry = [];
     check;
     log = [];
@@ -124,6 +129,9 @@ let create ?shards ?(check = false) ?(offline = false) ?window d =
     errors = 0;
     registry;
     stamp_ms;
+    body = Wire.writer 256;
+    reply = Wire.writer 256;
+    bye = false;
   }
 
 let attach t =
@@ -132,6 +140,7 @@ let attach t =
       id = t.next_conn;
       last_seq = -1;
       cached = None;
+      frame = Wire.writer 64;
       events_in = 0;
       stamps_out = 0;
       dedup_hits = 0;
@@ -143,17 +152,15 @@ let attach t =
 
 let detach t conn = Hashtbl.remove t.conns conn.id
 let clients t = Hashtbl.length t.conns
-let shards t =
-  match t.backend with Sharded e -> Engine.shards e | Offline_stream _ -> 1
 
 let stop t =
-  match t.backend with Sharded e -> Engine.stop e | Offline_stream _ -> ()
+  match t.backend with Online e -> Engine.stop e | Offline_stream _ -> ()
 
 let backend t = t.backend
 
 let backend_name t =
   match t.backend with
-  | Sharded e -> Printf.sprintf "sharded:%d" (Engine.shards e)
+  | Online _ -> "online"
   | Offline_stream _ -> "offline-stream"
 
 let batches t = t.batches
@@ -164,11 +171,11 @@ let errors t = t.errors
 
 let pending t =
   match t.backend with
-  | Sharded e -> Engine.pending e
+  | Online e -> Engine.pending e
   | Offline_stream s -> Synts_ingest.Offline_sink.pending s
 
 let dropped t =
-  match t.backend with Sharded e -> Engine.dropped e | Offline_stream _ -> 0
+  match t.backend with Online e -> Engine.dropped e | Offline_stream _ -> 0
 
 let stamp_quantiles t =
   let q p = Tm.Histogram.quantile t.stamp_ms p in
@@ -184,24 +191,31 @@ let conn_stats t =
 let telemetry_snapshots t =
   Tm.snapshot ~registry:t.registry ()
   :: (match t.backend with
-     | Sharded e -> Engine.telemetry_snapshots e
+     | Online e -> [ Engine.telemetry_snapshot e ]
      | Offline_stream _ -> [])
 
-let record t events outcomes =
+(* The bookkeeping of an accepted batch; [stamp i] builds the stamp of
+   message [i], asked for only in check mode. *)
+let accept t conn seq events ~stamp =
+  let messages = ref 0 in
   Array.iter
-    (function
-      | Ingest.Message _ -> t.messages <- t.messages + 1
-      | Ingest.Internal _ -> t.internal <- t.internal + 1)
+    (function Ingest.Message _ -> incr messages | Ingest.Internal _ -> ())
     events;
+  let len = Array.length events in
+  t.messages <- t.messages + !messages;
+  t.internal <- t.internal + len - !messages;
   t.batches <- t.batches + 1;
-  if t.check then begin
-    Array.iter (fun ev -> t.log <- Ev ev :: t.log) events;
-    Array.iter
-      (function
-        | Ingest.Stamped v -> t.stamped <- v :: t.stamped
-        | Ingest.Deferred _ -> ())
-      outcomes
-  end
+  conn.events_in <- conn.events_in + len;
+  conn.stamps_out <- conn.stamps_out + !messages;
+  conn.last_seq <- seq;
+  if t.check then
+    Array.iteri
+      (fun i ev ->
+        t.log <- Ev ev :: t.log;
+        match ev with
+        | Ingest.Message _ -> t.stamped <- stamp i :: t.stamped
+        | Ingest.Internal _ -> ())
+      events
 
 let epoch t =
   match t.membership with Some m -> Membership.epoch m | None -> 0
@@ -222,8 +236,8 @@ let take_carry t =
 let apply_churn t delta =
   match (t.backend, t.membership) with
   | Offline_stream _, _ | _, None ->
-      Error "churn requires the sharded backend (run without --offline)"
-  | Sharded e, Some m -> (
+      Error "churn requires the online backend (run without --offline)"
+  | Online e, Some m -> (
       let from_epoch = Membership.epoch m in
       let w_old = Membership.width m in
       match Membership.apply m delta with
@@ -244,23 +258,21 @@ let apply_churn t delta =
                 else Array.make dim' 0)
           in
           let e' =
-            Engine.of_layout ~shards:t.requested_shards ~init ~first_ticket
-              ~n:n' ~dim:dim'
-              ~group_of_edge:(fun u v -> Membership.slot_of_edge m u v)
-              ()
+            Engine.of_layout ~init ~first_ticket ~n:n' ~dim:dim'
+              ~index:(Membership.index m) ()
           in
-          t.backend <- Sharded e';
+          t.backend <- Online e';
           t.sink <- Engine.ingest e';
           Tm.Counter.incr m_churn;
           if t.check then t.log <- Delta delta :: t.log;
           Ok (Membership.epoch m, n', dim'))
 
-(* Sharded mode, no churn: replay the whole arrival log through the
-   deterministic single-domain oracle and compare message stamps
+(* Online mode, no churn: replay the whole arrival log through the
+   deterministic {!Online.stamper} oracle and compare message stamps
    bit-for-bit.
    Internal-event stamps are functions of the surrounding message
    stamps, so message equality is the whole exactness claim. *)
-let verify_sharded t =
+let verify_online t =
   let oracle = Online.stamper t.decomposition in
   let stamped = ref (List.rev t.stamped) in
   let checked = ref 0 in
@@ -281,8 +293,8 @@ let verify_sharded t =
   if !stamped <> [] then ok := false;
   Protocol.Verified { ok = !ok; checked = !checked }
 
-(* Sharded mode with churn in the log: replay events {e and} membership
-   deltas in arrival order through the single-domain epoch-aware oracle
+(* Online mode with churn in the log: replay events {e and} membership
+   deltas in arrival order through the epoch-aware oracle
    ({!Epoch_stamper} over a fresh membership seeded from the epoch-0
    decomposition), crossing the same epoch boundaries at the same
    points. Stamps must match bit-for-bit epoch by epoch. *)
@@ -361,66 +373,89 @@ let has_churn_log t =
 
 let verify t =
   match t.backend with
-  | Sharded _ -> if has_churn_log t then verify_epochs t else verify_sharded t
+  | Online _ -> if has_churn_log t then verify_epochs t else verify_online t
   | Offline_stream _ -> verify_offline t
+
+let error t e =
+  Tm.Counter.incr m_errors;
+  t.errors <- t.errors + 1;
+  Protocol.Error_r e
+
+(* The sequence state machine [handle] and the byte path share. A
+   refused sequence consumes nothing, so a corrected retry may reuse
+   it. *)
+type admission = Fresh | Replay | Refused of string
+
+let admit conn seq =
+  if seq < 0 then Refused "negative sequence number"
+  else if seq = conn.last_seq then Replay
+  else if seq < conn.last_seq then
+    Refused (Printf.sprintf "stale sequence %d (last was %d)" seq conn.last_seq)
+  else if seq > conn.last_seq + 1 then
+    Refused
+      (Printf.sprintf "sequence gap: got %d, expected %d" seq
+         (conn.last_seq + 1))
+  else Fresh
+
+(* At-least-once delivery: a dup or retransmission is answered from the
+   cache, never stamped twice. *)
+let count_replay t conn =
+  Tm.Counter.incr m_dups;
+  t.dedup <- t.dedup + 1;
+  conn.dedup_hits <- conn.dedup_hits + 1
+
+let timed t f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  Tm.Histogram.observe t.stamp_ms (1000. *. (Unix.gettimeofday () -. t0));
+  x
+
+let cached_response conn =
+  match conn.cached with
+  | Some r -> r
+  | None when Wire.length conn.frame = 0 -> Protocol.Error_r "no cached reply"
+  | None -> (
+      match
+        Result.bind (Wire.unframe (Wire.contents conn.frame))
+          Protocol.decode_response
+      with
+      | Ok r ->
+          conn.cached <- Some r;
+          r
+      | Error e -> Protocol.Error_r ("cached reply unreadable: " ^ e))
 
 let handle t conn (req : Protocol.request) : Protocol.response =
   Tm.Counter.incr m_requests;
-  let err e =
-    Tm.Counter.incr m_errors;
-    t.errors <- t.errors + 1;
-    Protocol.Error_r e
-  in
+  let err = error t in
   match req with
   | Hello ->
       Welcome
         {
           processes = Ingest.processes t.sink;
           dimension = Ingest.dimension t.sink;
-          shards = shards t;
+          shards = 1;
           epoch = epoch t;
         }
-  | Observe { seq; events } ->
-      if seq < 0 then err "negative sequence number"
-      else if seq <= conn.last_seq then
-        if seq = conn.last_seq then begin
-          (* At-least-once delivery: a dup or retransmission is answered
-             from the cache, never stamped twice. *)
-          Tm.Counter.incr m_dups;
-          t.dedup <- t.dedup + 1;
-          conn.dedup_hits <- conn.dedup_hits + 1;
-          Option.value conn.cached ~default:(Protocol.Error_r "no cached reply")
-        end
-        else
-          err
-            (Printf.sprintf "stale sequence %d (last was %d)" seq conn.last_seq)
-      else if seq > conn.last_seq + 1 then
-        err
-          (Printf.sprintf "sequence gap: got %d, expected %d" seq
-             (conn.last_seq + 1))
-      else begin
-        let t0 = Unix.gettimeofday () in
-        match Ingest.observe_batch t.sink events with
-        | outcomes ->
-            Tm.Histogram.observe t.stamp_ms
-              (1000. *. (Unix.gettimeofday () -. t0));
-            record t events outcomes;
-            conn.events_in <- conn.events_in + Array.length events;
-            Array.iter
-              (function
-                | Ingest.Stamped _ -> conn.stamps_out <- conn.stamps_out + 1
-                | Ingest.Deferred _ -> ())
-              outcomes;
-            let resp = Protocol.Outcomes outcomes in
-            conn.last_seq <- seq;
-            conn.cached <- Some resp;
-            resp
-        | exception Invalid_argument e ->
-            (* Validation rejected the batch before any state change; the
-               sequence is not consumed, so a corrected retry may reuse
-               it. *)
-            err e
-      end
+  | Observe { seq; events } -> (
+      match admit conn seq with
+      | Refused e -> err e
+      | Replay ->
+          count_replay t conn;
+          cached_response conn
+      | Fresh -> (
+          match timed t (fun () -> Ingest.observe_batch t.sink events) with
+          | outcomes ->
+              accept t conn seq events ~stamp:(fun i ->
+                  match outcomes.(i) with
+                  | Ingest.Stamped v -> v
+                  | Ingest.Deferred _ -> assert false);
+              let resp = Protocol.Outcomes outcomes in
+              conn.cached <- Some resp;
+              Wire.reset conn.frame;
+              resp
+          | exception Invalid_argument e ->
+              (* Validation rejected the batch before any state change. *)
+              err e))
   | Drain -> Resolved (take_carry t @ Ingest.drain t.sink)
   | Finish -> Resolved (take_carry t @ Ingest.finish t.sink)
   | Churn spec -> (
@@ -447,16 +482,73 @@ let handle t conn (req : Protocol.request) : Protocol.response =
         }
   | Shutdown -> Bye
 
-let handle_raw t conn raw =
-  let reply resp = Wire.frame (Protocol.encode_response resp) in
-  let err e =
-    Tm.Counter.incr m_errors;
-    t.errors <- t.errors + 1;
-    reply (Protocol.Error_r e)
-  in
+(* [resp] framed into [w], which is returned. *)
+let frame_into t w resp =
+  Wire.reset t.body;
+  Protocol.put_response t.body resp;
+  Wire.reset w;
+  Wire.put_frame w t.body;
+  w
+
+(* The cached reply as a frame; see [conn]. *)
+let cached_frame t conn =
+  if Wire.length conn.frame = 0 then
+    ignore (frame_into t conn.frame (cached_response conn) : Wire.writer);
+  conn.frame
+
+(* A fresh Observe on the engine: sweep into slab rows, then code the
+   reply from the rows into the connection's cache, with no vector per
+   stamp. *)
+let observe_rows t conn e seq events =
+  match timed t (fun () -> Engine.sweep e events) with
+  | () ->
+      accept t conn seq events ~stamp:(Engine.batch_stamp e);
+      Wire.reset t.body;
+      Protocol.put_outcome_rows t.body ~rows:(Engine.rows e)
+        ~dim:(Engine.dimension e) ~first:(Engine.processes e)
+        ~tickets:(Engine.tickets e) ~count:(Array.length events);
+      conn.cached <- None;
+      Wire.reset conn.frame;
+      Wire.put_frame conn.frame t.body;
+      conn.frame
+  | exception Invalid_argument e -> frame_into t t.reply (error t e)
+
+(* The byte path: unframe, decode, answer, frame — the reply is left in
+   a writer owned by the service or the connection, valid until the
+   next request. A replayed Observe gets the cached frame and a fresh
+   one on the engine takes the row path; everything else, refusals
+   included, goes through [handle]. *)
+let reply t conn raw =
+  t.bye <- false;
   match Wire.unframe raw with
-  | Error e -> err ("bad frame: " ^ e)
+  | Error e -> frame_into t t.reply (error t ("bad frame: " ^ e))
   | Ok body -> (
       match Protocol.decode_request body with
-      | Error e -> err ("bad request: " ^ e)
-      | Ok req -> reply (handle t conn req))
+      | Error e -> frame_into t t.reply (error t ("bad request: " ^ e))
+      | Ok req -> (
+          let bytes =
+            match req with
+            | Observe { seq; events } -> (
+                match (admit conn seq, t.backend) with
+                | Replay, _ ->
+                    Tm.Counter.incr m_requests;
+                    count_replay t conn;
+                    Some (cached_frame t conn)
+                | Fresh, Online e ->
+                    Tm.Counter.incr m_requests;
+                    Some (observe_rows t conn e seq events)
+                | (Fresh | Refused _), _ -> None)
+            | _ -> None
+          in
+          match bytes with
+          | Some w -> w
+          | None ->
+              let resp = handle t conn req in
+              t.bye <- (match resp with Protocol.Bye -> true | _ -> false);
+              frame_into t t.reply resp))
+
+let handle_raw t conn raw = Wire.contents (reply t conn raw)
+
+let serve_frame t conn raw out =
+  Frame.put out (reply t conn raw);
+  t.bye

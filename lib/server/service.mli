@@ -1,10 +1,17 @@
 (** Transport-independent core of the [synts serve] daemon.
 
-    A service owns one sharded {!Engine} and the per-connection protocol
-    state; the socket layer ({!Server}) only moves framed bytes. Keeping
-    the core transport-free is what lets the property tests drive the
-    full request path — encode, frame, (possibly corrupt), unframe,
-    decode, stamp — without opening a socket.
+    A service owns one Fig. 5 {!Engine} (or the streaming offline
+    pipeline) and the per-connection protocol state; the socket layer
+    ({!Server}) only moves framed bytes. Keeping the core transport-free
+    is what lets the property tests drive the full request path —
+    encode, frame, (possibly corrupt), unframe, decode, stamp — without
+    opening a socket.
+
+    On the engine, the byte path ({!handle_raw}, {!serve_frame}) codes an
+    [Observe] reply straight from the engine's slab rows
+    ({!Protocol.put_outcome_rows}); no vector is built per stamp. Its
+    frames equal, byte for byte, those of {!handle} followed by
+    {!Protocol.encode_response} and {!Synts_clock.Wire.frame}.
 
     {2 At-least-once exactness}
 
@@ -13,13 +20,15 @@
     delivery (network dup, or a client retransmitting after a corrupted
     frame was rejected) is answered from the cache, never re-stamped —
     so the fault injector's dup/corrupt clauses cannot skew timestamps.
-    A sequence older than the cached one is answered with [Error_r]
-    ("stale"), as is a gap (the client skipped a sequence). *)
+    On the byte path a duplicate gets the cached frame's bytes. A
+    sequence older than the cached one is answered with [Error_r]
+    ("stale"), as is a gap (the client skipped a sequence); {!handle}
+    and the byte path share this state machine, and a refused or
+    rejected batch consumes no sequence number. *)
 
 type t
 
 val create :
-  ?shards:int ->
   ?check:bool ->
   ?offline:bool ->
   ?window:int ->
@@ -28,9 +37,10 @@ val create :
 (** [check] (default false) additionally logs every ingested event in
     arrival order so {!Protocol.Verify} can replay the whole stream
     against a mode-specific oracle. With [offline] false (the default)
-    the backend is the sharded Fig. 5 {!Engine} and verification
-    replays through the single-domain {!Synts_core.Online.stamper},
-    comparing stamps bit-for-bit. With [offline] true the backend is
+    the backend is the Fig. 5 {!Engine} and verification replays
+    through {!Synts_core.Online.stamper} (or
+    {!Synts_core.Epoch_stamper} across churn), comparing stamps
+    bit-for-bit. With [offline] true the backend is
     the streaming Dilworth pipeline
     ({!Synts_ingest.Offline_sink}, live window [window]): stamps are
     offline-style rank vectors, and verification instead
@@ -38,8 +48,7 @@ val create :
     {!Synts_core.Offline.timestamp_trace} and requires the same
     precedes/concurrent verdict on every message pair
     (order-equivalence — the streamed vectors are not bit-identical to
-    the batch ones). [shards] is ignored in offline mode (reported as
-    1 in [Welcome]). *)
+    the batch ones). [Welcome] always reports one shard. *)
 
 type conn
 
@@ -57,18 +66,20 @@ val handle : t -> conn -> Protocol.request -> Protocol.response
     the caller decides what to do with its transport. *)
 
 val handle_raw : t -> conn -> string -> string
-(** The byte-level path: {!Synts_clock.Wire.unframe}, decode, {!handle},
-    encode, re-frame. Malformed or corrupted input yields a framed
-    [Error_r] {e without} touching the connection's sequence state, so a
+(** The byte-level path: {!Synts_clock.Wire.unframe}, decode, answer,
+    frame. Malformed or corrupted input yields a framed [Error_r]
+    {e without} touching the connection's sequence state, so a
     retransmission of the damaged request still lands in the dedup
     window. *)
 
-val stop : t -> unit
-(** Stop the backend (joins the engine's worker domains; a no-op for the
-    offline-stream backend, which runs inline). *)
+val serve_frame : t -> conn -> string -> Synts_clock.Wire.writer -> bool
+(** [serve_frame t conn raw out] is {!handle_raw} with the reply appended
+    to [out] as the transport carries it ({!Frame.put}: length prefix,
+    then frame), so the replies to one read leave in one write. Returns
+    [true] when the reply is [Bye]. *)
 
-val shards : t -> int
-(** Worker domains of the sharded backend; 1 in offline-stream mode. *)
+val stop : t -> unit
+(** Retire the backend. *)
 
 (** {2 Introspection}
 
@@ -77,12 +88,12 @@ val shards : t -> int
     requests on the serve loop's thread. *)
 
 type backend =
-  | Sharded of Engine.t
+  | Online of Engine.t
   | Offline_stream of Synts_ingest.Offline_sink.t
 
 val backend : t -> backend
 (** The {e current} backend — a [Protocol.Churn] request retires the
-    sharded engine and replaces it with one laid out for the new epoch
+    engine and replaces it with one laid out for the new epoch
     (per-process clocks translated, ticket space continued), so do not
     cache the result across requests. *)
 
@@ -91,13 +102,13 @@ val epoch : t -> int
     support churn). *)
 
 val membership : t -> Synts_graph.Membership.t option
-(** The churn-tolerant membership behind the sharded backend ([None] in
+(** The churn-tolerant membership behind the online backend ([None] in
     offline mode) — read-only introspection for the admin channel and
     the [epoch/*] lint rules; deltas must flow through
     [Protocol.Churn]. *)
 
 val backend_name : t -> string
-(** ["sharded:k"] or ["offline-stream"]. *)
+(** ["online"] or ["offline-stream"]. *)
 
 val batches : t -> int
 val messages_total : t -> int
@@ -126,5 +137,5 @@ val conn_stats : t -> (int * int * int * int * int) list
 
 val telemetry_snapshots : t -> Synts_telemetry.Telemetry.snapshot list
 (** The service-private registry snapshot followed by the engine's
-    per-shard registry snapshots (empty tail in offline mode) — merge
-    with [Obs.Merge.snapshots] for the admin [metrics] view. *)
+    (none in offline mode) — merge with [Obs.Merge.snapshots] for the
+    admin [metrics] view. *)

@@ -50,6 +50,9 @@ type t = {
   stats : Stats.t;
   width : Synts_poset.Incremental_width.t;
   last_message : int array;  (* per process, -1 when none *)
+  last_stamp : Vector.t array;
+      (* per process, its last message's stamp: the [prev] the event
+         stream asks for when it resolves an internal event *)
   resolved : (Event_stream.ticket * Internal_events.stamp) Queue.t;
       (* oldest first, drained by the caller; bounded by [pending_cap] *)
   pending_cap : int;
@@ -67,6 +70,7 @@ let make ?window ?(pending_cap = 65536) ~n stamper dimension =
     stats = Stats.create ?window ();
     width = Synts_poset.Incremental_width.create ();
     last_message = Array.make n (-1);
+    last_stamp = Array.make n [||];
     resolved = Queue.create ();
     pending_cap;
     dropped = 0;
@@ -130,8 +134,13 @@ let message t ~src ~dst =
         Queue.push r t.resolved)
       resolved
   in
-  enqueue (Event_stream.record_message t.events ~proc:src v);
-  enqueue (Event_stream.record_message t.events ~proc:dst v);
+  let record proc =
+    enqueue
+      (Event_stream.record_message t.events ~proc ~prev:t.last_stamp.(proc) v);
+    t.last_stamp.(proc) <- v
+  in
+  record src;
+  record dst;
   if Tracer.enabled () then
     (* The session's tick domain is its own sequence numbers; [cells] is
        the per-observe stamp cost in slab cells touched. *)
@@ -156,7 +165,7 @@ let drain_events t =
 
 let finish_events t =
   Tm.Counter.incr m_flushes;
-  drain_events t @ Event_stream.finish t.events
+  drain_events t @ Event_stream.finish t.events ~prev:(Array.get t.last_stamp)
 
 type event = Synts_ingest.Ingest.event =
   | Message of { src : int; dst : int }

@@ -48,8 +48,8 @@ val dimension : t -> int
     Sessions ingest the {!Synts_ingest.Ingest} event stream: {!observe}
     is {e the} entry point, and {!ingest} packs a session as a
     first-class {!Synts_ingest.Ingest.sink} so embedders written against
-    the unified interface run against a session, the sharded
-    [synts serve] engine or a remote server client interchangeably. *)
+    the unified interface run against a session, the [synts serve]
+    engine or a remote server client interchangeably. *)
 
 type event = Synts_ingest.Ingest.event =
   | Message of { src : int; dst : int }

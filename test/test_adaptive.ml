@@ -152,31 +152,47 @@ let test_adaptive_dimension_growth () =
 
 (* ---------- Streaming internal events ---------- *)
 
-let stream_stamps trace message_ts =
+(* Stream stamps by ticket; with [flush_at], the stream is flushed
+   ({!Event_stream.finish}) before that step and goes on, and the tickets
+   that flush resolved come back too. *)
+let stream_stamps_flushed ?flush_at trace message_ts =
   let dim =
     if Array.length message_ts > 0 then Vector.size message_ts.(0) else 1
   in
   let s = Event_stream.create ~dimension:dim ~n:(Trace.n trace) in
   let resolved = ref [] in
+  let last = Array.make (Trace.n trace) [||] in
+  let record proc ts =
+    resolved :=
+      Event_stream.record_message s ~proc ~prev:last.(proc) ts @ !resolved;
+    last.(proc) <- ts
+  in
+  let flushed = ref [] in
   (* Walk the trace positionally so message ids line up. *)
   let mid = ref 0 in
-  List.iter
-    (fun step ->
+  List.iteri
+    (fun i step ->
+      if flush_at = Some i then begin
+        flushed := Event_stream.finish s ~prev:(Array.get last);
+        resolved := !flushed @ !resolved
+      end;
       match step with
       | Trace.Local p -> ignore (Event_stream.record_internal s ~proc:p)
       | Trace.Send (src, dst) ->
           let ts = message_ts.(!mid) in
           incr mid;
-          resolved := Event_stream.record_message s ~proc:src ts @ !resolved;
-          resolved := Event_stream.record_message s ~proc:dst ts @ !resolved)
+          record src ts;
+          record dst ts)
     (Trace.steps trace);
-  resolved := Event_stream.finish s @ !resolved;
+  resolved := Event_stream.finish s ~prev:(Array.get last) @ !resolved;
   let arr =
     Array.make (Trace.internal_count trace)
       { Internal_events.proc = 0; prev = [||]; succ = None; counter = 0 }
   in
   List.iter (fun (ticket, stamp) -> arr.(ticket) <- stamp) !resolved;
-  arr
+  (List.map fst !flushed, arr)
+
+let stream_stamps trace message_ts = snd (stream_stamps_flushed trace message_ts)
 
 let test_stream_equals_batch =
   qtest ~count:200 "streaming stamps equal the batch computation"
@@ -188,17 +204,42 @@ let test_stream_equals_batch =
       let stream = stream_stamps trace message_ts in
       batch = stream)
 
+(* A session or a [serve --offline] sink goes on after a flush. An
+   internal event announced after it keeps the [prev] and the counter
+   the batch computation gives it; only the flushed events lose their
+   [succ]. *)
+let test_stream_flush_midway =
+  qtest ~count:200 "a mid-stream flush keeps prev and counters"
+    QCheck2.Gen.(pair Gen.computation (int_bound 10_000))
+    (fun (c, at) -> Printf.sprintf "%s, flush before step %d"
+        (Gen.computation_print c) at)
+    (fun (c, at) ->
+      let g, trace = Gen.build_computation c in
+      let d = Synts_graph.Decomposition.best g in
+      let message_ts = Online.timestamp_trace d trace in
+      let batch = Internal_events.of_trace_with message_ts trace in
+      let steps = List.length (Trace.steps trace) in
+      let flush_at = if steps = 0 then 0 else at mod steps in
+      let flushed, stream = stream_stamps_flushed ~flush_at trace message_ts in
+      let expected =
+        Array.mapi
+          (fun ticket (st : Internal_events.stamp) ->
+            if List.mem ticket flushed then { st with succ = None } else st)
+          batch
+      in
+      expected = stream)
+
 let test_stream_pending_counts () =
   let s = Event_stream.create ~dimension:2 ~n:2 in
   let t0 = Event_stream.record_internal s ~proc:0 in
   let t1 = Event_stream.record_internal s ~proc:0 in
   let t2 = Event_stream.record_internal s ~proc:1 in
   Alcotest.(check int) "three pending" 3 (Event_stream.pending s);
-  let resolved = Event_stream.record_message s ~proc:0 [| 1; 0 |] in
+  let resolved = Event_stream.record_message s ~proc:0 ~prev:[||] [| 1; 0 |] in
   Alcotest.(check (list int)) "P0's events resolved in order" [ t0; t1 ]
     (List.map fst resolved);
   Alcotest.(check int) "one left" 1 (Event_stream.pending s);
-  let rest = Event_stream.finish s in
+  let rest = Event_stream.finish s ~prev:(fun _ -> [| 1; 0 |]) in
   Alcotest.(check (list int)) "flush" [ t2 ] (List.map fst rest);
   (match rest with
   | [ (_, stamp) ] ->
@@ -211,13 +252,13 @@ let test_stream_counters_reset () =
   let s = Event_stream.create ~dimension:1 ~n:1 in
   ignore (Event_stream.record_internal s ~proc:0);
   ignore (Event_stream.record_internal s ~proc:0);
-  let resolved = Event_stream.record_message s ~proc:0 [| 1 |] in
+  let resolved = Event_stream.record_message s ~proc:0 ~prev:[||] [| 1 |] in
   let counters =
     List.map (fun (_, st) -> st.Internal_events.counter) resolved
   in
   Alcotest.(check (list int)) "counters 0,1" [ 0; 1 ] counters;
   ignore (Event_stream.record_internal s ~proc:0);
-  let resolved2 = Event_stream.record_message s ~proc:0 [| 2 |] in
+  let resolved2 = Event_stream.record_message s ~proc:0 ~prev:[| 1 |] [| 2 |] in
   Alcotest.(check (list int)) "counter reset" [ 0 ]
     (List.map (fun (_, st) -> st.Internal_events.counter) resolved2)
 
@@ -244,5 +285,6 @@ let () =
           Alcotest.test_case "pending counts" `Quick test_stream_pending_counts;
           Alcotest.test_case "counter reset" `Quick test_stream_counters_reset;
           test_stream_equals_batch;
+          test_stream_flush_midway;
         ] );
     ]

@@ -278,6 +278,45 @@ let test_wire_rejects () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-canonical count"
 
+(* The one-byte fast paths meet the loop at 0x7f/0x80; 0x3fff/0x4000 is
+   the next length step. Each value takes exactly its LEB128 bytes, and
+   the slow path still refuses the overlong [0x80 0x00] and a vector cut
+   off right after a fast-path byte. *)
+let test_varint_edges () =
+  List.iter
+    (fun (v, bytes) ->
+      let w = Wire.writer 1 in
+      Wire.put_varint w v;
+      Alcotest.(check string) (Printf.sprintf "0x%x bytes" v) bytes
+        (Wire.contents w);
+      Alcotest.(check (result int string))
+        (Printf.sprintf "0x%x round-trips" v)
+        (Ok v)
+        (Wire.parse bytes Wire.get_varint);
+      Alcotest.(check (result (array int) string))
+        (Printf.sprintf "[0x%x; 1] round-trips" v)
+        (Ok [| v; 1 |])
+        (Wire.decode (Wire.encode [| v; 1 |])))
+    [
+      (0x7f, "\x7f");
+      (0x80, "\x80\x01");
+      (0x3fff, "\xff\x7f");
+      (0x4000, "\x80\x80\x01");
+    ];
+  let refused name s =
+    match Wire.parse s Wire.get_varint with
+    | Error _ -> ()
+    | Ok v -> Alcotest.failf "%s decoded as %d" name v
+  in
+  refused "overlong zero" "\x80\x00";
+  refused "empty" "";
+  (match Wire.decode "\x02\x05" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "vector truncated after a one-byte component");
+  match Wire.decode "\x03\x05\x7f" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "vector truncated after two one-byte components"
+
 let test_wire_diff =
   qtest ~count:300 "diff round-trips against the previous vector"
     QCheck2.Gen.(
@@ -414,6 +453,7 @@ let () =
           Alcotest.test_case "small vectors cheap" `Quick
             test_wire_small_vectors_cheap;
           Alcotest.test_case "rejects malformed" `Quick test_wire_rejects;
+          Alcotest.test_case "varint fast-path edges" `Quick test_varint_edges;
           Alcotest.test_case "diff compresses" `Quick test_wire_diff_compresses;
           Alcotest.test_case "FNV-1a test vectors" `Quick test_checksum_vectors;
           Alcotest.test_case "golden bytes" `Quick test_wire_golden;

@@ -274,6 +274,13 @@ let test_decomposition_make_rejects () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "overlapping groups accepted");
+  (* As many channels as edges, but (0,1) twice and (1,2) never. *)
+  (match
+     Decomposition.make k3
+       [ Star { center = 0; leaves = [ 1; 2 ] }; Star { center = 1; leaves = [ 0 ] } ]
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a duplicate hiding a missing edge accepted");
   match
     Decomposition.make k3
       [

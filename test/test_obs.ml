@@ -377,10 +377,10 @@ let test_family_rejection () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "future version accepted"
 
-(* ---------- cross-shard merge ≡ single-shard oracle ---------- *)
+(* ---------- the engine registry ---------- *)
 
-let run_engine ~shards ~batch events d =
-  let e = Engine.create ~shards d in
+let run_engine ~batch events d =
+  let e = Engine.create d in
   Fun.protect
     ~finally:(fun () -> Engine.stop e)
     (fun () ->
@@ -392,51 +392,36 @@ let run_engine ~shards ~batch events d =
         off := !off + len
       done;
       ignore (Engine.finish e);
-      Engine.telemetry_snapshots e)
+      Engine.telemetry_snapshot e)
 
-let merge_gen = QCheck2.Gen.(pair Gen.computation (int_range 2 4))
-
-let merge_print (c, shards) =
-  Printf.sprintf "%s shards=%d" (Gen.computation_print c) shards
-
-(* The per-shard counters are designed to be shard-count invariant:
-   merging the k-shard registries must reconstruct the 1-shard oracle
-   registry structurally — same names, same counts, same histogram
+(* The engine flushes its counters once per batch; the registry must
+   equal a one-batch run's — same names, same counts, same histogram
    buckets — whatever the batching. *)
-let test_merge_matches_oracle =
-  qtest ~count:60 "k-shard registries merge to the 1-shard oracle" merge_gen
-    merge_print (fun (c, shards) ->
+let test_registry_batch_invariant =
+  qtest ~count:60 "registry is batch-size invariant" Gen.computation
+    Gen.computation_print (fun c ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
       let events = events_of_trace trace in
-      let merged =
-        Merge.snapshots (run_engine ~shards ~batch:7 events d)
-      in
-      let oracle =
-        Merge.snapshots (run_engine ~shards:1 ~batch:1024 events d)
-      in
-      merged = oracle)
+      run_engine ~batch:7 events d = run_engine ~batch:1024 events d)
 
 (* The same property through the byte-level service path with a fault
    injector duplicating and corrupting deliveries: seq dedup and the
-   wire checksum keep the engine's effective stream clean, so the merged
-   shard registries still equal the clean single-shard oracle. *)
-let faulty_gen = QCheck2.Gen.(triple Gen.computation (int_range 2 4) Gen.rng_seed)
+   wire checksum keep the engine's effective stream clean, so its
+   registry still equals the clean run's. *)
+let faulty_gen = QCheck2.Gen.(pair Gen.computation Gen.rng_seed)
 
-let faulty_print (c, shards, seed) =
-  Printf.sprintf "%s shards=%d inj_seed=%d" (Gen.computation_print c) shards
-    seed
+let faulty_print (c, seed) =
+  Printf.sprintf "%s inj_seed=%d" (Gen.computation_print c) seed
 
-let test_merge_under_faults =
-  qtest ~count:25 "merge survives dup/corrupt delivery" faulty_gen
-    faulty_print (fun (c, shards, seed) ->
+let test_registry_under_faults =
+  qtest ~count:25 "registry survives dup/corrupt delivery" faulty_gen
+    faulty_print (fun (c, seed) ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
       let events = events_of_trace trace in
-      let oracle =
-        Merge.snapshots (run_engine ~shards:1 ~batch:9 events d)
-      in
-      let service = Service.create ~shards d in
+      let oracle = run_engine ~batch:9 events d in
+      let service = Service.create d in
       Fun.protect
         ~finally:(fun () -> Service.stop service)
         (fun () ->
@@ -486,10 +471,9 @@ let test_merge_under_faults =
             off := !off + len
           done;
           (* Head of the list is the service's own registry (latency,
-             dedup) — nondeterministic; the merge property is about the
-             engine's per-shard registries behind it. *)
-          let shard_snaps = List.tl (Service.telemetry_snapshots service) in
-          Merge.snapshots shard_snaps = oracle))
+             dedup) — nondeterministic; the property is about the
+             engine's registry behind it. *)
+          List.tl (Service.telemetry_snapshots service) = [ oracle ]))
 
 let () =
   Alcotest.run "obs"
@@ -519,6 +503,6 @@ let () =
           test_admin_request_total;
           test_admin_response_total;
         ] );
-      ( "cross-shard",
-        [ test_merge_matches_oracle; test_merge_under_faults ] );
+      ( "telemetry",
+        [ test_registry_batch_invariant; test_registry_under_faults ] );
     ]

@@ -6,7 +6,6 @@ module Wire = Synts_clock.Wire
 module Online = Synts_core.Online
 module Ingest = Synts_ingest.Ingest
 module Offline_sink = Synts_ingest.Offline_sink
-module Shard = Synts_server.Shard
 module Engine = Synts_server.Engine
 module Protocol = Synts_server.Protocol
 module Service = Synts_server.Service
@@ -31,60 +30,7 @@ let contains ~sub s =
 let events_of_trace trace =
   Array.of_list (List.map Ingest.event_of_step (Trace.steps trace))
 
-(* ---------- shard plans ---------- *)
-
-let test_shard_partition () =
-  let plan = Shard.plan ~dimension:7 ~shards:3 in
-  Alcotest.(check int) "effective shards" 3 (Shard.shards plan);
-  let seen = Array.make 7 0 in
-  for s = 0 to Shard.shards plan - 1 do
-    Array.iteri
-      (fun j g ->
-        seen.(g) <- seen.(g) + 1;
-        Alcotest.(check int) "owner" s (Shard.owner plan g);
-        Alcotest.(check int) "slot" j (Shard.slot plan g))
-      (Shard.components plan s)
-  done;
-  Alcotest.(check (array int)) "partition" (Array.make 7 1) seen
-
-let test_shard_clamp () =
-  (* More shards than components would idle workers: clamp. *)
-  let plan = Shard.plan ~dimension:2 ~shards:8 in
-  Alcotest.(check int) "clamped" 2 (Shard.shards plan);
-  Alcotest.(check int) "single component, single shard" 1
-    (Shard.shards (Shard.plan ~dimension:1 ~shards:16))
-
-(* The paper's min(β(G), N−2) dimension floor drives the clamp at the
-   engine level: tiny topologies run one shard no matter what was
-   requested. *)
-let test_engine_clamp_edge_cases () =
-  let check_one name g requested expected =
-    let engine = Engine.create ~shards:requested (Decomposition.best g) in
-    Fun.protect
-      ~finally:(fun () -> Engine.stop engine)
-      (fun () -> Alcotest.(check int) name expected (Engine.shards engine))
-  in
-  (* N = 2: one channel, one group. *)
-  check_one "N=2 clamps to 1" (Topology.path 2) 4 1;
-  (* A star is a single group however many leaves. *)
-  check_one "star clamps to 1" (Topology.star 6) 4 1;
-  (* K5: dimension min(β, N−2) = 3 allows up to 3 shards. *)
-  let k5 = Decomposition.best (Topology.complete 5) in
-  let engine = Engine.create ~shards:8 (Decomposition.best (Topology.complete 5)) in
-  Fun.protect
-    ~finally:(fun () -> Engine.stop engine)
-    (fun () ->
-      Alcotest.(check int) "K5 clamp = dimension" (Decomposition.size k5)
-        (Engine.shards engine))
-
-(* ---------- sharded engine ≡ single-domain oracle ---------- *)
-
-let shards_gen = QCheck2.Gen.int_range 1 4
-
-let conformance_gen = QCheck2.Gen.pair Gen.computation shards_gen
-
-let conformance_print (c, shards) =
-  Printf.sprintf "%s shards=%d" (Gen.computation_print c) shards
+(* ---------- engine ≡ single-domain oracle ---------- *)
 
 (* Feed a whole trace through a session (the deterministic reference
    sink), collecting message stamps and resolved internal stamps. *)
@@ -95,8 +41,8 @@ let session_reference d trace =
   let resolved = Session.finish_events session in
   (stamps, List.sort compare resolved)
 
-let engine_run ~shards ~batch d trace =
-  let engine = Engine.create ~shards d in
+let engine_run ~batch d trace =
+  let engine = Engine.create d in
   Fun.protect
     ~finally:(fun () -> Engine.stop engine)
     (fun () ->
@@ -116,30 +62,29 @@ let engine_run ~shards ~batch d trace =
       (Ingest.message_stamps outcomes, List.sort compare !resolved))
 
 let test_engine_matches_oracle =
-  qtest ~count:60 "sharded engine = single-domain oracle (stamps + internal)"
-    conformance_gen conformance_print (fun (c, shards) ->
+  qtest ~count:60 "engine = single-domain oracle (stamps + internal)"
+    Gen.computation Gen.computation_print (fun c ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
       let oracle = Online.timestamp_trace d trace in
       let ref_stamps, ref_resolved = session_reference d trace in
-      let stamps, resolved = engine_run ~shards ~batch:7 d trace in
+      let stamps, resolved = engine_run ~batch:7 d trace in
       Array.for_all2 Vector.equal stamps oracle
       && Array.for_all2 Vector.equal stamps ref_stamps
       && resolved = ref_resolved)
 
-let batch_split_gen =
-  QCheck2.Gen.(triple Gen.computation shards_gen (int_range 1 13))
+let batch_split_gen = QCheck2.Gen.(pair Gen.computation (int_range 1 13))
 
-let batch_split_print (c, shards, batch) =
-  Printf.sprintf "%s shards=%d batch=%d" (Gen.computation_print c) shards batch
+let batch_split_print (c, batch) =
+  Printf.sprintf "%s batch=%d" (Gen.computation_print c) batch
 
 let test_engine_batch_split_invariant =
   qtest ~count:60 "batch boundaries do not change stamps" batch_split_gen
-    batch_split_print (fun (c, shards, batch) ->
+    batch_split_print (fun (c, batch) ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
-      let whole, _ = engine_run ~shards ~batch:max_int d trace in
-      let split, _ = engine_run ~shards ~batch d trace in
+      let whole, _ = engine_run ~batch:max_int d trace in
+      let split, _ = engine_run ~batch d trace in
       Array.for_all2 Vector.equal whole split)
 
 (* ---------- protocol codec ---------- *)
@@ -550,7 +495,7 @@ let test_unframe_total =
    input must be answered with a readable reply, never an exception. *)
 let test_handle_raw_total () =
   let service =
-    Service.create ~shards:2 ~check:true (Decomposition.best (Topology.ring 5))
+    Service.create ~check:true (Decomposition.best (Topology.ring 5))
   in
   Fun.protect
     ~finally:(fun () -> Service.stop service)
@@ -655,22 +600,20 @@ let test_frame_split_feeds () =
 
 (* ---------- service: dup / corrupt exactness ---------- *)
 
-let faulty_service_gen =
-  QCheck2.Gen.(triple Gen.computation (int_range 1 3) Gen.rng_seed)
+let faulty_service_gen = QCheck2.Gen.(pair Gen.computation Gen.rng_seed)
 
-let faulty_service_print (c, shards, seed) =
-  Printf.sprintf "%s shards=%d inj_seed=%d" (Gen.computation_print c) shards
-    seed
+let faulty_service_print (c, seed) =
+  Printf.sprintf "%s inj_seed=%d" (Gen.computation_print c) seed
 
 (* Drive the byte-level request path through a fault injector that
    duplicates and corrupts deliveries; the sequence-number dedup plus the
    checksum frame must keep the stamps exactly the oracle's. *)
 let test_service_dup_corrupt =
   qtest ~count:50 "dup/corrupt deliveries never skew stamps"
-    faulty_service_gen faulty_service_print (fun (c, shards, seed) ->
+    faulty_service_gen faulty_service_print (fun (c, seed) ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
-      let service = Service.create ~shards ~check:true d in
+      let service = Service.create ~check:true d in
       Fun.protect
         ~finally:(fun () -> Service.stop service)
         (fun () ->
@@ -877,7 +820,7 @@ let test_service_offline_widening () =
    with every stamp on both sides of the boundary. *)
 let test_service_churn_reshard () =
   let d = Decomposition.best (Topology.ring 4) in
-  let service = Service.create ~shards:2 ~check:true d in
+  let service = Service.create ~check:true d in
   Fun.protect
     ~finally:(fun () -> Service.stop service)
     (fun () ->
@@ -958,7 +901,7 @@ let test_service_churn_random =
     (fun (seed, msgs) ->
       let g0 = Topology.ring 5 in
       let d = Decomposition.best g0 in
-      let service = Service.create ~shards:2 ~check:true d in
+      let service = Service.create ~check:true d in
       Fun.protect
         ~finally:(fun () -> Service.stop service)
         (fun () ->
@@ -1031,7 +974,7 @@ let test_socket_roundtrip () =
     Workload.random (Rng.create 42) ~topology:g ~messages:120
       ~internal_prob:0.15 ()
   in
-  let handle = Server.spawn ~shards:2 ~check:true (Server.Unix_socket path) d in
+  let handle = Server.spawn ~check:true (Server.Unix_socket path) d in
   let clients = Array.init 3 (fun _ -> Client.connect (Server.Unix_socket path)) in
   Fun.protect
     ~finally:(fun () ->
@@ -1041,7 +984,7 @@ let test_socket_roundtrip () =
     (fun () ->
       Alcotest.(check int) "welcome n" (Decomposition.graph_vertices d)
         (Client.processes clients.(0));
-      Alcotest.(check int) "welcome shards" 2 (Client.shards clients.(0));
+      Alcotest.(check int) "welcome shards" 1 (Client.shards clients.(0));
       let events = events_of_trace trace in
       let total = Array.length events in
       (* Interleave the stream across the three clients batch by batch;
@@ -1081,19 +1024,369 @@ let test_socket_roundtrip () =
       Client.shutdown clients.(2);
       Server.join handle)
 
+(* An in-process daemon shares its fd table with its clients, so its
+   accepted fds can pass FD_SETSIZE with few connections of its own.
+   Past its fd cap it must close a connection on arrival — not let
+   select fail — and go on serving. *)
+let test_socket_fd_cap () =
+  let dir = Filename.temp_dir "synts-serve" "" in
+  let path = Filename.concat dir "serve.sock" in
+  let addr = Server.Unix_socket path in
+  let handle = Server.spawn addr (Decomposition.best (Topology.ring 4)) in
+  let pad = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close !pad;
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      (* Open fds until one is numbered 1,000 (an fd is its number on
+         Unix): every fd opened after, the daemon's next accepted one
+         included, is past the cap. *)
+      let rec fill () =
+        let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+        pad := fd :: !pad;
+        if (Obj.magic fd : int) < 1000 then fill ()
+      in
+      fill ();
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let closed =
+        match Unix.read fd (Bytes.create 1) 0 1 with
+        | n -> n = 0
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            false
+      in
+      Unix.close fd;
+      List.iter Unix.close !pad;
+      pad := [];
+      Alcotest.(check bool) "closed on arrival" true closed;
+      let c = Client.connect addr in
+      (match Client.observe_batch c [| Ingest.Message { src = 0; dst = 1 } |] with
+      | [| Ingest.Stamped _ |] -> ()
+      | _ -> Alcotest.fail "the daemon stopped stamping");
+      Client.shutdown c;
+      Server.join handle)
+
+(* ---------- the row path ≡ the reference encoder ---------- *)
+
+module Graph = Synts_graph.Graph
+module Membership = Synts_graph.Membership
+module Epoch_stamper = Synts_core.Epoch_stamper
+module Internal_events = Synts_core.Internal_events
+
+(* Two layouts at the varint edges: one component (d = 1), and a path
+   of 258 processes whose 129 components take a two-byte length. *)
+let row_layouts =
+  lazy
+    (Array.map
+       (fun g -> (g, Decomposition.best g))
+       [| Topology.star 5; Topology.path 258 |])
+
+type action = Batch of int * int | Dup | Dup_decoded | Bad | Fin | Churn
+
+let action_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 8,
+          map2
+            (fun share len -> Batch (share, len))
+            (int_bound 50) (int_range 1 70) );
+        (2, return Dup);
+        (1, return Dup_decoded);
+        (1, return Bad);
+        (1, return Fin);
+        (1, return Churn);
+      ])
+
+let print_action = function
+  | Batch (share, len) -> Printf.sprintf "batch(%d%%,%d)" share len
+  | Dup -> "dup"
+  | Dup_decoded -> "dup-decoded"
+  | Bad -> "bad"
+  | Fin -> "finish"
+  | Churn -> "churn"
+
+let script_gen =
+  QCheck2.Gen.(
+    triple (int_bound 1) Gen.rng_seed (list_size (int_range 1 24) action_gen))
+
+let script_print (layout, seed, actions) =
+  Printf.sprintf "layout=%d seed=%d [%s]" layout seed
+    (String.concat "; " (List.map print_action actions))
+
+(* A batch over the reference's current topology: [share] percent
+   internal events, the rest messages on random channels. *)
+let random_batch rng st ~share ~len =
+  let m = Epoch_stamper.membership st in
+  let edges = Array.of_list (Graph.edges (Membership.graph m)) in
+  Array.init len (fun _ ->
+      if Rng.int rng 100 < share || edges = [||] then
+        Ingest.Internal { proc = Rng.int rng (Membership.processes m) }
+      else
+        let u, v = Rng.pick_array rng edges in
+        if Rng.bool rng then Ingest.Message { src = u; dst = v }
+        else Ingest.Message { src = v; dst = u })
+
+(* A channel the current topology lacks, as a delta the membership
+   absorbs (possibly widening the stamps). *)
+let random_delta rng st =
+  let m = Epoch_stamper.membership st in
+  let n = Membership.processes m in
+  let rec pick tries =
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v && not (Graph.has_edge (Membership.graph m) u v) then
+      Printf.sprintf "add:%d-%d" u v
+    else if tries = 0 then "add:0-0"
+    else pick (tries - 1)
+  in
+  pick 20
+
+let reference_outcomes st next_ticket events =
+  Array.map
+    (function
+      | Ingest.Message { src; dst } ->
+          Ingest.Stamped (Epoch_stamper.stamp st ~src ~dst)
+      | Ingest.Internal _ ->
+          let t = !next_ticket in
+          incr next_ticket;
+          Ingest.Deferred t)
+    events
+
+let observe_frame seq events =
+  Wire.frame (Protocol.encode_request (Protocol.Observe { seq; events }))
+
+let reply_of raw =
+  match Result.bind (Wire.unframe raw) Protocol.decode_response with
+  | Ok r -> r
+  | Error e -> QCheck2.Test.fail_reportf "unreadable reply: %s" e
+
+(* Every Observe reply of the byte path equals, byte for byte, the
+   frame of the reference vectors' [Outcomes] — across Finish, churn
+   deltas, duplicates (answered with the cached bytes, or the cached
+   response on the decoded path) and rejected batches (which consume no
+   sequence number and change no later reply). *)
+let test_row_path_matches_reference =
+  qtest ~count:80 "Observe replies = reference encoder, byte for byte"
+    script_gen script_print (fun (layout, seed, actions) ->
+      let g, d = (Lazy.force row_layouts).(layout) in
+      let rng = Rng.create seed in
+      let service = Service.create d in
+      let st = Epoch_stamper.create (Membership.create g d) in
+      let conn = Service.attach service in
+      let seq = ref 0 and next_ticket = ref 0 in
+      let last = ref None in
+      let step = function
+        | Batch (share, len) ->
+            let events = random_batch rng st ~share ~len in
+            let raw = observe_frame !seq events in
+            let got = Service.handle_raw service conn raw in
+            let expected = reference_outcomes st next_ticket events in
+            let want =
+              Wire.frame (Protocol.encode_response (Protocol.Outcomes expected))
+            in
+            if got <> want then
+              QCheck2.Test.fail_reportf "seq %d: reply %s, reference %s" !seq
+                (Gen.hex got) (Gen.hex want);
+            last := Some (raw, got, events, expected);
+            incr seq
+        | Dup -> (
+            match !last with
+            | None -> ()
+            | Some (raw, reply, _, _) ->
+                if Service.handle_raw service conn raw <> reply then
+                  QCheck2.Test.fail_reportf "duplicate got other bytes")
+        | Dup_decoded -> (
+            match !last with
+            | None -> ()
+            | Some (_, _, events, expected) -> (
+                match
+                  Service.handle service conn
+                    (Protocol.Observe { seq = !seq - 1; events })
+                with
+                | Protocol.Outcomes o when o = expected -> ()
+                | r ->
+                    QCheck2.Test.fail_reportf "decoded duplicate got %a"
+                      Protocol.pp_response r))
+        | Bad -> (
+            let events =
+              Array.append
+                (random_batch rng st ~share:50 ~len:3)
+                [| Ingest.Internal { proc = 1 lsl 20 } |]
+            in
+            let raw = observe_frame !seq events in
+            match reply_of (Service.handle_raw service conn raw) with
+            | Protocol.Error_r _ -> ()
+            | r ->
+                QCheck2.Test.fail_reportf "bad batch got %a"
+                  Protocol.pp_response r)
+        | Fin -> (
+            let raw = Wire.frame (Protocol.encode_request Protocol.Finish) in
+            match reply_of (Service.handle_raw service conn raw) with
+            | Protocol.Resolved _ -> ()
+            | r ->
+                QCheck2.Test.fail_reportf "finish got %a" Protocol.pp_response
+                  r)
+        | Churn -> (
+            let spec = random_delta rng st in
+            let reply =
+              reply_of
+                (Service.handle_raw service conn
+                   (Wire.frame (Protocol.encode_request (Protocol.Churn spec))))
+            in
+            let expected =
+              Result.bind
+                (Membership.delta_of_string spec)
+                (Epoch_stamper.apply st)
+            in
+            match (reply, expected) with
+            | Protocol.Epoch_r _, Ok _ | Protocol.Error_r _, Error _ -> ()
+            | r, _ ->
+                QCheck2.Test.fail_reportf "churn %s got %a" spec
+                  Protocol.pp_response r)
+      in
+      Fun.protect
+        ~finally:(fun () -> Service.stop service)
+        (fun () ->
+          List.iter step actions;
+          true))
+
+(* Clocks seeded at or above 2^14 take three-byte varints, and a stamp
+   after one of a process seeded at zero has deltas of -2^14 and below:
+   rows coded in place must still equal their vectors' encoding. The
+   reference is the epoch stamper restored to the same clocks. *)
+let test_seeded_rows =
+  qtest ~count:100 "rows of seeded clocks code like their vectors"
+    QCheck2.Gen.(triple (int_bound 1) Gen.rng_seed (int_bound 50))
+    (fun (layout, seed, share) ->
+      Printf.sprintf "layout=%d seed=%d share=%d" layout seed share)
+    (fun (layout, seed, share) ->
+      let g, d = (Lazy.force row_layouts).(layout) in
+      let rng = Rng.create seed in
+      let n = Graph.n g and dim = Decomposition.size d in
+      let init =
+        Array.init n (fun _ ->
+            Array.init dim (fun _ ->
+                if Rng.bool rng then 0
+                else (1 lsl 14) + Rng.int rng (1 lsl 20)))
+      in
+      let engine =
+        Engine.of_layout ~init ~n ~dim ~index:(Decomposition.index d) ()
+      in
+      let st = Epoch_stamper.create (Membership.create g d) in
+      Array.iteri (fun p v -> Epoch_stamper.restore st p (0, v)) init;
+      let events = random_batch rng st ~share ~len:64 in
+      let expected = reference_outcomes st (ref 0) events in
+      Engine.sweep engine events;
+      let w = Wire.writer 16 in
+      Protocol.put_outcome_rows w ~rows:(Engine.rows engine) ~dim
+        ~first:(Engine.processes engine) ~tickets:(Engine.tickets engine)
+        ~count:(Array.length events);
+      Wire.contents w = Protocol.encode_response (Protocol.Outcomes expected))
+
+(* Internal events through the engine, segment by segment: a Finish or
+   an applied churn delta closes a segment, after which every process's
+   next internal event has a zero [prev] until it takes part in a
+   message. Each segment's stamps must equal the Sec. 5 batch reference
+   over that segment alone, and tickets must count up by one across
+   all of them. *)
+let test_internal_segments =
+  qtest ~count:80 "internal stamps = Sec. 5 reference per segment"
+    script_gen script_print (fun (layout, seed, actions) ->
+      let g, d = (Lazy.force row_layouts).(layout) in
+      let rng = Rng.create seed in
+      let service = Service.create d in
+      let st = Epoch_stamper.create (Membership.create g d) in
+      let conn = Service.attach service in
+      let seq = ref 0 and next_ticket = ref 0 and base = ref 0 in
+      let steps = ref [] and stamps = ref [] in
+      let expected = ref [] and got = ref [] in
+      let close_segment () =
+        let m = Epoch_stamper.membership st in
+        let trace =
+          Trace.of_steps_exn ~n:(Membership.processes m) (List.rev !steps)
+        in
+        let message_ts = Array.of_list (List.rev !stamps) in
+        let zero = Vector.zero (max 1 (Membership.width m)) in
+        Array.iteri
+          (fun i (s : Internal_events.stamp) ->
+            let s = if message_ts = [||] then { s with prev = zero } else s in
+            expected := (!base + i, s) :: !expected)
+          (Internal_events.of_trace_with message_ts trace);
+        base := !next_ticket;
+        steps := [];
+        stamps := []
+      in
+      let resolved = function
+        | Protocol.Resolved l -> got := l @ !got
+        | r -> QCheck2.Test.fail_reportf "got %a" Protocol.pp_response r
+      in
+      let step = function
+        | Batch (share, len) -> (
+            let events = random_batch rng st ~share ~len in
+            ignore
+              (reference_outcomes st (ref 0) events : Ingest.outcome array);
+            let req = Protocol.Observe { seq = !seq; events } in
+            match Service.handle service conn req with
+            | Protocol.Outcomes outs ->
+                incr seq;
+                Array.iteri
+                  (fun i ev ->
+                    match (ev, outs.(i)) with
+                    | Ingest.Message { src; dst }, Ingest.Stamped v ->
+                        steps := Trace.Send (src, dst) :: !steps;
+                        stamps := v :: !stamps
+                    | Ingest.Internal { proc }, Ingest.Deferred t ->
+                        if t <> !next_ticket then
+                          QCheck2.Test.fail_reportf "ticket %d, expected %d" t
+                            !next_ticket;
+                        incr next_ticket;
+                        steps := Trace.Local proc :: !steps
+                    | _ ->
+                        QCheck2.Test.fail_reportf "outcome of the wrong kind")
+                  events
+            | r ->
+                QCheck2.Test.fail_reportf "observe got %a" Protocol.pp_response
+                  r)
+        | Dup | Dup_decoded | Bad ->
+            resolved (Service.handle service conn Protocol.Drain)
+        | Fin ->
+            close_segment ();
+            resolved (Service.handle service conn Protocol.Finish)
+        | Churn -> (
+            let spec = random_delta rng st in
+            match Service.handle service conn (Protocol.Churn spec) with
+            | Protocol.Epoch_r _ ->
+                close_segment ();
+                ignore
+                  (Result.bind (Membership.delta_of_string spec)
+                     (Epoch_stamper.apply st))
+            | _ -> ())
+      in
+      Fun.protect
+        ~finally:(fun () -> Service.stop service)
+        (fun () ->
+          List.iter step actions;
+          close_segment ();
+          resolved (Service.handle service conn Protocol.Finish);
+          let by_ticket l = List.sort (fun (a, _) (b, _) -> compare a b) l in
+          by_ticket !got = by_ticket !expected))
+
 let () =
   Alcotest.run "server"
     [
-      ( "shard",
-        [
-          Alcotest.test_case "round-robin partition" `Quick
-            test_shard_partition;
-          Alcotest.test_case "clamping" `Quick test_shard_clamp;
-          Alcotest.test_case "engine clamp edge cases" `Quick
-            test_engine_clamp_edge_cases;
-        ] );
       ( "engine",
         [ test_engine_matches_oracle; test_engine_batch_split_invariant ] );
+      ( "row-path",
+        [
+          test_row_path_matches_reference;
+          test_seeded_rows;
+          test_internal_segments;
+        ] );
       ( "protocol",
         [
           test_request_roundtrip;
@@ -1134,6 +1427,10 @@ let () =
             test_service_churn_reshard;
           test_service_churn_random;
         ] );
-      ("socket", [ Alcotest.test_case "daemon round trip" `Quick
-                     test_socket_roundtrip ]);
+      ( "socket",
+        [
+          Alcotest.test_case "daemon round trip" `Quick test_socket_roundtrip;
+          Alcotest.test_case "in-process daemon refuses past its fd cap" `Quick
+            test_socket_fd_cap;
+        ] );
     ]
