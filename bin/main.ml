@@ -691,8 +691,9 @@ let serve_cmd =
       & info [ "admin" ] ~docv:"ADDR"
           ~doc:
             "Also listen on ADDR for the introspection channel — a \
-             second frame family answering $(b,health), $(b,metrics), \
-             $(b,stats) and $(b,tracedump), scraped by $(b,synts top).")
+             second plane in the same frame envelope answering \
+             $(b,health), $(b,metrics), $(b,stats) and $(b,tracedump), \
+             scraped by $(b,synts top).")
   in
   let run seed topo address check offline window admin metrics =
     let g = realize_topology seed topo in
@@ -853,7 +854,7 @@ let load_cmd =
    rates derived from the previous sample, latency quantiles, the
    engine's load, per-connection counters and — for the offline
    backend — the streaming pipeline's watermarks. *)
-let render_top ppf ~prev ~dt (ok, hbackend, procs, dim, _shards)
+let render_top ppf ~prev ~dt (ok, hbackend, procs, dim)
     (s : Synts_obs.Admin.stats) =
   let open Synts_obs.Admin in
   let events = s.messages + s.internal in
@@ -880,11 +881,11 @@ let render_top ppf ~prev ~dt (ok, hbackend, procs, dim, _shards)
     s.batches s.clients s.dedup_hits s.errors s.dropped s.pending;
   Format.fprintf ppf "stamp lat p50 %.3f ms  p90 %.3f ms  p99 %.3f ms@."
     s.p50_ms s.p90_ms s.p99_ms;
-  List.iter
-    (fun sh ->
+  Option.iter
+    (fun l ->
       Format.fprintf ppf "engine    events %d  cells %d  messages %d@."
-        sh.s_events sh.s_cells sh.s_messages)
-    s.shards;
+        l.swept l.cells l.stamped)
+    s.load;
   (match s.stream with
   | None -> ()
   | Some st ->
@@ -1007,7 +1008,7 @@ let top_cmd =
       Format.printf "metrics   %d prometheus bytes, %d json bytes@."
         (String.length prom) (String.length json);
       Format.printf "tracedump %d spans (%d dropped)@." t_spans t_dropped;
-      let ok, _, _, _, _ = health in
+      let ok, _, _, _ = health in
       if (not ok) || stats.Synts_obs.Admin.messages = 0 then begin
         prerr_endline "synts top --spawn: daemon unhealthy or stamped nothing";
         exit 1
@@ -1036,9 +1037,9 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live daemon introspection: poll a $(b,synts serve --admin) \
-          channel and render event rates, stamp-latency quantiles, \
-          per-shard load skew, per-connection counters, loss/backpressure \
-          and the streaming pipeline's watermarks.")
+          channel and render event rates, stamp-latency quantiles, the \
+          engine's load, per-connection counters, loss/backpressure and \
+          the streaming pipeline's watermarks.")
     Term.(
       const run $ seed_t $ topo_t $ connect_t $ interval_t $ once_t $ spawn_t
       $ data_t $ clients_t $ batches_t $ batch_t)

@@ -10,9 +10,15 @@
    checksum, and checksummed bodies, random or one byte off a valid
    request, that reach the decoder. Each must be answered with Error_r.
    Last it announces a frame larger than the transport allows, after
-   which the daemon must drop the desynchronised stream. The clean
-   connection then runs a seeded session and the daemon's --check
-   replay must confirm every stamp.
+   which the daemon must drop the desynchronised stream.
+
+   The daemon also listens on an admin socket, and both planes get the
+   same three kinds of frame: one in the earlier envelope ([d7 01]
+   where the version byte 2 now stands), a well-formed frame of the
+   other plane, and 50 seeded junk frames. Each must be answered with
+   an Error_r of the plane that received it. The clean connection then
+   runs a seeded session, the daemon's --check replay must confirm
+   every stamp, and the admin plane must still answer health.
 
    It then runs two `synts serve` child processes (the binary is the one
    argument), each with its own fd table, against clients that only
@@ -25,9 +31,10 @@
    and the daemon, so run it with a soft fd limit of a few thousand
    (`ulimit -n 4096`), as the @serve-smoke rule does.
 
-   Exits non-zero unless every hostile frame got an Error_r (or, for the
-   oversized length prefix, a close), the daemon is still serving, and
-   the clean sessions verify — this is a @serve-smoke CI leg. *)
+   Exits non-zero unless every hostile frame got an Error_r of its
+   plane (or, for the oversized length prefix, a close), the daemon is
+   still serving on both planes, and the clean sessions verify — this is
+   a @serve-smoke CI leg. *)
 
 module Graph = Synts_graph.Graph
 module Decomposition = Synts_graph.Decomposition
@@ -39,9 +46,12 @@ module Frame = Synts_server.Frame
 module Protocol = Synts_server.Protocol
 module Server = Synts_server.Server
 module Client = Synts_server.Client
+module Admin = Synts_obs.Admin
+module Admin_client = Synts_server.Admin_client
 
 let fail fmt = Format.kasprintf failwith fmt
 let path = "hostile-smoke.sock"
+let admin_path = "hostile-admin.sock"
 
 let varint v =
   let w = Wire.writer 9 in
@@ -72,6 +82,26 @@ let rec junk_body rng =
   match Protocol.decode_request body with
   | Error _ -> body
   | Ok _ -> junk_body rng
+
+(* An admin request body the admin decoder must refuse, made as
+   [junk_body] makes a data-plane one. *)
+let rec admin_junk_body rng =
+  let body =
+    if Rng.bool rng then random_bytes rng
+    else begin
+      let b =
+        Bytes.of_string
+          (Admin.encode_request
+             (Rng.pick_array rng
+                [| Admin.Health; Admin.Metrics Admin.Json; Admin.Stats |]))
+      in
+      Bytes.set b (Rng.int rng (Bytes.length b)) (Char.chr (Rng.int rng 256));
+      Bytes.to_string b
+    end
+  in
+  match Admin.decode_request body with
+  | Error _ -> body
+  | Ok _ -> admin_junk_body rng
 
 let hostile_frames rng =
   let framed body = Wire.frame body in
@@ -112,22 +142,41 @@ let recv fd name =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       fail "%s: no reply within 10 s (daemon down?)" name
 
-let hostile_session rng =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-  let frames = hostile_frames rng in
+(* Send each frame on [fd] and hand its reply's body to [refused],
+   which fails unless it is an Error_r of the receiving plane. *)
+let expect_refusals fd frames refused =
   List.iter
     (fun (name, frame) ->
       Frame.send fd frame;
       match recv fd name with
       | `Eof -> fail "%s: daemon closed the connection" name
       | `Frame reply -> (
-          match Result.bind (Wire.unframe reply) Protocol.decode_response with
-          | Ok (Protocol.Error_r _) -> ()
-          | Ok r -> fail "%s answered %a" name Protocol.pp_response r
+          match Wire.unframe reply with
+          | Ok body -> refused name body
           | Error e -> fail "%s: unreadable reply (%s)" name e))
-    frames;
+    frames
+
+let data_refused name body =
+  match Protocol.decode_response body with
+  | Ok (Protocol.Error_r _) -> ()
+  | Ok r -> fail "%s answered %a" name Protocol.pp_response r
+  | Error e -> fail "%s: unreadable reply (%s)" name e
+
+let admin_refused name body =
+  match Admin.decode_response body with
+  | Ok (Admin.Error_r _) -> ()
+  | Ok r -> fail "%s answered %a" name Admin.pp_response r
+  | Error e -> fail "%s: unreadable admin reply (%s)" name e
+
+let connect_raw sock =
+  let fd = Server.connect (Server.Unix_socket sock) in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  fd
+
+let hostile_session rng =
+  let fd = connect_raw path in
+  let frames = hostile_frames rng in
+  expect_refusals fd frames data_refused;
   (* A length prefix past the transport's cap desynchronises the stream:
      the daemon must close this connection, and only this one. *)
   let prefix = Bytes.make 4 '\xff' in
@@ -138,6 +187,41 @@ let hostile_session rng =
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ());
   Unix.close fd;
   List.length frames
+
+(* [body] in the earlier envelope: [d7 01] where the version byte 2 now
+   stands, then the varint checksum and the body. *)
+let earlier_envelope body = "\xd7\x01" ^ varint (Wire.checksum body) ^ body
+
+(* The frames both planes must refuse, built from a valid body of the
+   receiving plane ([own]), one of the other plane ([other]) and the
+   receiving plane's junk. *)
+let plane_frames rng ~own ~other ~junk =
+  ("frame in the d7 01 layout", earlier_envelope own)
+  :: ("frame of the other plane", Wire.frame other)
+  :: List.init 50 (fun i ->
+         if i mod 2 = 0 then (Printf.sprintf "raw junk #%d" i, random_bytes rng)
+         else (Printf.sprintf "checksummed junk #%d" i, Wire.frame (junk rng)))
+
+let plane_session rng =
+  let hello = Protocol.encode_request Protocol.Hello in
+  let health = Admin.encode_request Admin.Health in
+  let legs =
+    [
+      (path, plane_frames rng ~own:hello ~other:health ~junk:junk_body,
+       data_refused);
+      ( admin_path,
+        plane_frames rng ~own:health ~other:hello ~junk:admin_junk_body,
+        admin_refused );
+    ]
+  in
+  List.fold_left
+    (fun total (sock, frames, refused) ->
+      let fd = connect_raw sock in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> expect_refusals fd frames refused);
+      total + List.length frames)
+    0 legs
 
 let clean_session rng g c =
   let edges = Array.of_list (Graph.edges g) in
@@ -271,9 +355,11 @@ let () =
   let rng = Rng.create 2002 in
   let g = Topology.ring 6 in
   let addr = Server.Unix_socket path in
-  let h = Server.spawn ~check:true addr (Decomposition.best g) in
+  let admin = Server.Unix_socket admin_path in
+  let h = Server.spawn ~check:true ~admin addr (Decomposition.best g) in
   let clean = Client.connect addr in
   let hostile = hostile_session rng in
+  let crossed = plane_session rng in
   let sent = clean_session rng g clean in
   (match Client.server_stats clean with
   | Ok s when s.Client.clients = 1 -> ()
@@ -281,10 +367,16 @@ let () =
       fail "%d clients attached after the hostile one left" s.Client.clients
   | Error e -> fail "stats: %s" e);
   verify "hostile-smoke" clean sent;
+  let a = Admin_client.connect admin in
+  (match Admin_client.health a with
+  | true, _, _, _ -> ()
+  | false, _, _, _ -> fail "admin health reports the daemon down");
+  Admin_client.close a;
   Format.printf
     "hostile-smoke: %d hostile frames refused, oversized stream closed, %d \
-     clean messages verified@."
-    hostile sent;
+     frames refused across the two planes, %d clean messages verified, \
+     admin health answered@."
+    hostile crossed sent;
   Client.shutdown clean;
   Server.join h;
   fd_case synts "fd-flood" ~idle:1090 rng g;

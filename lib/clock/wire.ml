@@ -1,7 +1,7 @@
 (* ---------- the shared codec: one varint writer, one reader ----------
 
-   Every byte layout in the tree — vectors here, the [synts serve]
-   request/response codec, the admin frame family — is built from these
+   Every byte layout in the tree — vectors here, the request/response
+   codecs of both [synts serve] planes — is built from these
    primitives. Neither side allocates per value: the writer appends into
    a growable [Bytes] with one capacity check per varint (one per vector
    for [put_vector]), and the reader advances a mutable cursor and
@@ -290,83 +290,54 @@ let checksum_sub s off len =
 
 let checksum s = checksum_sub s 0 (String.length s)
 
-(* ---------- checksum framing, versioned ----------
+(* ---------- checksum framing ----------
 
-   Version 0 (the PR 5 seed frame) is a bare varint checksum followed by
-   the body. Version 1 prefixes a magic byte and a version byte, so a
-   server can reject a client speaking a future protocol revision with a
-   clear error instead of a baffling checksum failure. Decoding accepts
-   both: v0 frames remain readable (the fault-injection suites replay
-   recorded v0 traffic), and any byte string that happens to start with
-   the magic byte but fails the versioned parse is retried as v0 before
-   an error is reported. *)
+   A frame is a version byte, the varint checksum of the body, then the
+   body. The version byte turns a peer speaking another revision away
+   with a clear error instead of a baffling checksum failure. This build
+   reads and writes version 2 only; 0 and 1 named earlier layouts. *)
 
-let magic = '\xD7'
-let current_version = 1
+let current_version = 2
 
-let frame ?(version = current_version) body =
-  let header =
-    match version with
-    | 0 -> 0
-    | 1 -> 2
-    | v -> invalid_arg (Printf.sprintf "Wire.frame: unknown version %d" v)
-  in
+(* The frame header of a body with checksum [digest], written at [pos];
+   returns the position of the body. *)
+let set_header buf pos digest =
+  Bytes.unsafe_set buf pos (Char.unsafe_chr current_version);
+  set_varint buf (pos + 1) digest
+
+let frame body =
   let digest = checksum body and len = String.length body in
-  let out = Bytes.create (header + varint_bytes digest + len) in
-  if header = 2 then begin
-    Bytes.set out 0 magic;
-    Bytes.set out 1 (Char.chr current_version)
-  end;
-  let pos = set_varint out header digest in
-  Bytes.blit_string body 0 out pos len;
+  let out = Bytes.create (1 + varint_bytes digest + len) in
+  Bytes.blit_string body 0 out (set_header out 0 digest) len;
   Bytes.unsafe_to_string out
 
 (* [frame (contents body)] appended to [w], with no intermediate
    string: the checksum is taken over [body]'s bytes in place. *)
 let put_frame w body =
   let digest = checksum_sub (Bytes.unsafe_to_string body.buf) 0 body.len in
-  reserve w (2 + max_varint + body.len);
-  Bytes.unsafe_set w.buf w.len magic;
-  Bytes.unsafe_set w.buf (w.len + 1) (Char.unsafe_chr current_version);
-  let pos = set_varint w.buf (w.len + 2) digest in
+  reserve w (1 + max_varint + body.len);
+  let pos = set_header w.buf w.len digest in
   Bytes.blit body.buf 0 w.buf pos body.len;
   w.len <- pos + body.len
 
-(* The checksum varint at [off], verified against the rest of [s] in
-   place; only a matching body is copied out. *)
-let checked_body s off =
-  let r = { src = s; pos = off } in
-  match get_varint r with
-  | exception Bad_varint -> Error "truncated checksum frame"
-  | expected ->
-      let len = String.length s - r.pos in
-      if checksum_sub s r.pos len <> expected then Error "checksum mismatch"
-      else Ok (String.sub s r.pos len)
-
+(* The checksum varint after the version byte is verified against the
+   rest of [s] in place; only a matching body is copied out. *)
 let unframe s =
-  if String.length s >= 2 && s.[0] = magic then begin
-    let version = Char.code s.[1] in
-    let versioned =
-      if version <> current_version then
-        Error
-          (Printf.sprintf
-             "unsupported wire version %d (this build speaks 0 and %d)" version
-             current_version)
-      else checked_body s 2
-    in
-    match versioned with
-    | Ok _ as ok -> ok
-    | Error _ as e -> (
-        (* The magic byte may be a coincidence in a v0 frame; only if the
-           legacy parse also fails do we surface the versioned error. *)
-        match checked_body s 0 with Ok _ as ok -> ok | Error _ -> e)
-  end
-  else checked_body s 0
+  if s = "" then Error "empty frame"
+  else if Char.code s.[0] <> current_version then
+    Error
+      (Printf.sprintf "unsupported wire version %d (this build speaks %d)"
+         (Char.code s.[0]) current_version)
+  else
+    let r = { src = s; pos = 1 } in
+    match get_varint r with
+    | exception Bad_varint -> Error "truncated checksum frame"
+    | expected ->
+        let len = String.length s - r.pos in
+        if checksum_sub s r.pos len <> expected then Error "checksum mismatch"
+        else Ok (String.sub s r.pos len)
 
-let frame_version s =
-  if String.length s >= 2 && s.[0] = magic then Char.code s.[1] else 0
-
-let encode_framed ?version v = frame ?version (encode v)
+let encode_framed v = frame (encode v)
 let decode_framed s = Result.bind (unframe s) decode
 
 (* ---------- epoch-tagged vectors ----------
@@ -388,7 +359,7 @@ let decode_epoch s =
       let epoch = get_varint r in
       (epoch, get_vector r))
 
-let encode_epoch_framed ?version ~epoch v = frame ?version (encode_epoch ~epoch v)
+let encode_epoch_framed ~epoch v = frame (encode_epoch ~epoch v)
 let decode_epoch_framed s = Result.bind (unframe s) decode_epoch
 
 let encode_diff ~prev v =

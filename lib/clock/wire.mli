@@ -10,8 +10,8 @@
 (** {1 The shared codec}
 
     One varint writer and one varint reader, shared by every byte layout
-    in the tree: vectors here, the [synts serve] request/response codec
-    and the admin frame family. Integers are LEB128 varints
+    in the tree: vectors here and the message codecs of both
+    [synts serve] planes. Integers are LEB128 varints
     (non-negative; writers raise [Invalid_argument] otherwise), strings
     are length-prefixed, booleans are one [0]/[1] byte and doubles are
     their IEEE bits in 8 big-endian bytes. Neither side allocates per
@@ -141,47 +141,39 @@ val checksum : string -> int
 
 (** {1 Checksum framing}
 
-    Frames are versioned. Version 1 (current) is
-    [magic byte · version byte · varint checksum · body]; version 0 (the
-    original frame, still emitted by [~version:0] and always accepted on
-    decode) omits the two-byte prefix. A frame carrying an {e unknown}
-    version is rejected with a descriptive ["unsupported wire version"]
-    error — how [synts serve] turns away mismatched clients — rather
-    than a misleading checksum failure. *)
-
-val magic : char
-(** First byte of every versioned frame ([0xD7]). *)
+    A frame is [version byte · varint checksum · body]: the
+    {!current_version} byte, then the {!checksum} of the body as a
+    varint, then the body. Both serve planes and the simulator's
+    checksummed vectors use this one layout. A frame announcing any
+    other version is rejected with a descriptive
+    ["unsupported wire version N"] error — how [synts serve] turns away
+    mismatched clients — rather than a misleading checksum failure. *)
 
 val current_version : int
-(** The frame version this build emits (1). *)
+(** The version byte of every frame (2). *)
 
-val frame : ?version:int -> string -> string
-(** Wrap an arbitrary body in a checksum frame. [version] defaults to
-    {!current_version}; [0] emits the legacy prefix-free frame; other
-    values raise [Invalid_argument]. *)
+val frame : string -> string
+(** Wrap an arbitrary body in a checksum frame. *)
 
 val put_frame : writer -> writer -> unit
-(** [put_frame w body] appends [frame (contents body)] to [w] (current
-    version), byte for byte, without building either string. [w] and
-    [body] must be distinct writers. *)
+(** [put_frame w body] appends [frame (contents body)] to [w], byte for
+    byte, without building either string. [w] and [body] must be
+    distinct writers. *)
 
 val unframe : string -> (string, string) result
-(** Validate and strip a frame of either version, returning the body.
-    Errors: ["checksum mismatch"] (bit-flip corruption),
-    ["unsupported wire version N ..."], ["truncated checksum frame"]. *)
+(** Validate and strip a frame, returning the body. Total and
+    canonical: [unframe s = Ok body] implies [frame body = s]. Errors:
+    ["checksum mismatch"] (bit-flip corruption),
+    ["unsupported wire version N (this build speaks 2)"],
+    ["truncated checksum frame"], ["empty frame"]. *)
 
-val frame_version : string -> int
-(** The version a frame announces: the version byte after {!magic},
-    or [0] for legacy frames. *)
-
-val encode_framed : ?version:int -> Vector.t -> string
-(** [frame ?version (encode v)] — a vector in a checksum frame. *)
+val encode_framed : Vector.t -> string
+(** [frame (encode v)] — a vector in a checksum frame. *)
 
 val decode_framed : string -> (Vector.t, string) result
-(** Inverse of {!encode_framed}, accepting both frame versions;
-    [Error "checksum mismatch"] when the body does not hash to the
-    stored digest (bit-flip corruption), other errors as {!decode} or
-    {!unframe}. *)
+(** Inverse of {!encode_framed}; [Error "checksum mismatch"] when the
+    body does not hash to the stored digest (bit-flip corruption),
+    other errors as {!decode} or {!unframe}. *)
 
 (** {1 Epoch-tagged vectors}
 
@@ -198,7 +190,7 @@ val encode_epoch : epoch:int -> Vector.t -> string
 val decode_epoch : string -> (int * Vector.t, string) result
 (** Inverse of {!encode_epoch}. *)
 
-val encode_epoch_framed : ?version:int -> epoch:int -> Vector.t -> string
+val encode_epoch_framed : epoch:int -> Vector.t -> string
 (** {!encode_epoch} inside a checksum frame (see {!frame}). *)
 
 val decode_epoch_framed : string -> (int * Vector.t, string) result

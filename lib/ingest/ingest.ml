@@ -23,6 +23,37 @@ module type S = sig
   val dimension : t -> int
 end
 
+module Pending = struct
+  type t = {
+    queue : resolved Queue.t;
+    cap : int;
+    counter : Synts_telemetry.Telemetry.Counter.t;
+    mutable dropped : int;
+  }
+
+  let default_cap = 65536
+
+  let create ~cap counter =
+    if cap < 1 then invalid_arg "Ingest.Pending: cap must be >= 1";
+    { queue = Queue.create (); cap; counter; dropped = 0 }
+
+  let push t r =
+    if Queue.length t.queue >= t.cap then begin
+      ignore (Queue.pop t.queue);
+      t.dropped <- t.dropped + 1;
+      Synts_telemetry.Telemetry.Counter.incr t.counter
+    end;
+    Queue.push r t.queue
+
+  let length t = Queue.length t.queue
+  let dropped t = t.dropped
+
+  let drain t =
+    let out = List.of_seq (Queue.to_seq t.queue) in
+    Queue.clear t.queue;
+    out
+end
+
 type sink = Sink : (module S with type t = 'a) * 'a -> sink
 
 let sink (type a) (module M : S with type t = a) state = Sink ((module M), state)

@@ -61,6 +61,31 @@ module type S = sig
   (** Current timestamp width (may grow for adaptive sinks). *)
 end
 
+(** The queue every sink keeps its resolved stamps in until {!drain}.
+    It is bounded: a push into a full queue evicts the oldest stamp and
+    counts it, so a caller that never drains loses stamps, counted,
+    instead of growing the process without bound. *)
+module Pending : sig
+  type t
+
+  val default_cap : int
+  (** 65,536 stamps: the bound of every sink that is not given one. *)
+
+  val create : cap:int -> Synts_telemetry.Telemetry.Counter.t -> t
+  (** [create ~cap dropped] holds at most [cap] stamps and adds every
+      eviction to the counter [dropped]. Raises [Invalid_argument] when
+      [cap < 1]. *)
+
+  val push : t -> resolved -> unit
+  val length : t -> int
+
+  val dropped : t -> int
+  (** Stamps evicted since creation. *)
+
+  val drain : t -> resolved list
+  (** Every queued stamp, oldest first; the queue is left empty. *)
+end
+
 type sink = Sink : (module S with type t = 'a) * 'a -> sink
 (** A first-class sink: implementation packed with its state. *)
 

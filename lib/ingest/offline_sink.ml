@@ -1,10 +1,15 @@
 module Stream = Synts_core.Offline.Stream
 module Event_stream = Synts_core.Event_stream
 
+let m_dropped =
+  Synts_telemetry.Telemetry.Counter.v
+    ~help:"Resolved stamps evicted from full offline-sink queues"
+    "ingest.offline.dropped_events"
+
 type t = {
   stream : Stream.t;
   events : Event_stream.t;
-  resolved : (Event_stream.ticket * Synts_core.Internal_events.stamp) Queue.t;
+  resolved : Ingest.Pending.t;
   last : Synts_clock.Vector.t array;
       (* each process's last message stamp, the [prev] of its next
          internal events *)
@@ -18,7 +23,7 @@ let create ?window ~n () =
        so it follows the stream's growing chain count like an adaptive
        session's. *)
     events = Event_stream.create ~dimension:1 ~n;
-    resolved = Queue.create ();
+    resolved = Ingest.Pending.create ~cap:Ingest.Pending.default_cap m_dropped;
     last = Array.make n [||];
     n;
   }
@@ -26,7 +31,8 @@ let create ?window ~n () =
 let stream t = t.stream
 let processes t = t.n
 let dimension t = Stream.dimension t.stream
-let pending t = Queue.length t.resolved
+let pending t = Ingest.Pending.length t.resolved
+let dropped t = Ingest.Pending.dropped t.resolved
 
 let observe t event =
   match event with
@@ -34,7 +40,7 @@ let observe t event =
       let v = Stream.observe t.stream ~src ~dst in
       let record proc =
         List.iter
-          (fun r -> Queue.push r t.resolved)
+          (Ingest.Pending.push t.resolved)
           (Event_stream.record_message t.events ~proc ~prev:t.last.(proc) v);
         t.last.(proc) <- v
       in
@@ -46,10 +52,7 @@ let observe t event =
 
 let observe_batch t events = Array.map (observe t) events
 
-let drain t =
-  let out = List.of_seq (Queue.to_seq t.resolved) in
-  Queue.clear t.resolved;
-  out
+let drain t = Ingest.Pending.drain t.resolved
 
 let finish t = drain t @ Event_stream.finish t.events ~prev:(Array.get t.last)
 

@@ -27,7 +27,11 @@ val stream : t -> Synts_core.Offline.Stream.t
 
 val pending : t -> int
 (** Resolved stamps queued awaiting {!drain} — the backpressure signal
-    the admin channel reports. *)
+    the admin channel reports. The queue holds at most
+    {!Ingest.Pending.default_cap} stamps. *)
+
+val dropped : t -> int
+(** Resolved stamps evicted from the full queue since creation. *)
 
 val observe : t -> Ingest.event -> Ingest.outcome
 val observe_batch : t -> Ingest.event array -> Ingest.outcome array

@@ -4,12 +4,7 @@ type metrics_format = Prom | Json
 
 type request = Health | Metrics of metrics_format | Stats | Tracedump
 
-type shard_stat = {
-  shard : int;
-  s_events : int;
-  s_cells : int;
-  s_messages : int;
-}
+type load = { swept : int; cells : int; stamped : int }
 
 type conn_stat = {
   conn : int;
@@ -41,7 +36,7 @@ type stats = {
   p50_ms : float;
   p90_ms : float;
   p99_ms : float;
-  shards : shard_stat list;
+  load : load option;
   conns : conn_stat list;
   stream : stream_stat option;
 }
@@ -52,54 +47,39 @@ type response =
       backend : string;
       processes : int;
       dimension : int;
-      shards : int;
     }
   | Metrics_r of string
   | Stats_r of stats
   | Tracedump_r of { dropped : int; spans : int; jsonl : string }
   | Error_r of string
 
-let family_magic = '\xAD'
-let current_version = 1
-
-let put_header w =
-  Wire.put_byte w (Char.code family_magic);
-  Wire.put_byte w current_version
-
-let get_header what r =
-  let magic = Wire.get_byte r in
-  if magic <> Char.code family_magic then
-    Wire.malformed "not an admin-family %s (magic 0x%02x)" what magic;
-  let version = Wire.get_byte r in
-  if version <> current_version then
-    Wire.malformed "unsupported admin version %d (this build speaks %d)"
-      version current_version
+(* Admin tags are 0x20-0x24, past the data plane's 0-9, so a body sent
+   to the wrong socket is refused as an unknown tag of the plane that
+   received it. *)
 
 (* {2 Requests} *)
 
 let encode_request r =
-  let w = Wire.writer 4 in
-  put_header w;
+  let w = Wire.writer 2 in
   (match r with
-  | Health -> Wire.put_byte w 0
+  | Health -> Wire.put_byte w 0x20
   | Metrics fmt ->
-      Wire.put_byte w 1;
+      Wire.put_byte w 0x21;
       Wire.put_byte w (match fmt with Prom -> 0 | Json -> 1)
-  | Stats -> Wire.put_byte w 2
-  | Tracedump -> Wire.put_byte w 3);
+  | Stats -> Wire.put_byte w 0x22
+  | Tracedump -> Wire.put_byte w 0x23);
   Wire.contents w
 
 let get_request r =
-  get_header "request" r;
   match Wire.get_byte r with
-  | 0 -> Health
-  | 1 -> (
+  | 0x20 -> Health
+  | 0x21 -> (
       match Wire.get_byte r with
       | 0 -> Metrics Prom
       | 1 -> Metrics Json
       | f -> Wire.malformed "unknown metrics format %d" f)
-  | 2 -> Stats
-  | 3 -> Tracedump
+  | 0x22 -> Stats
+  | 0x23 -> Tracedump
   | t -> Wire.malformed "unknown admin request tag %d" t
 
 let decode_request s = Wire.parse s get_request
@@ -108,20 +88,18 @@ let decode_request s = Wire.parse s get_request
 
 let encode_response r =
   let w = Wire.writer 128 in
-  put_header w;
   (match r with
-  | Health_r { ok; backend; processes; dimension; shards } ->
-      Wire.put_byte w 0;
+  | Health_r { ok; backend; processes; dimension } ->
+      Wire.put_byte w 0x20;
       Wire.put_bool w ok;
       Wire.put_string w backend;
       Wire.put_varint w processes;
-      Wire.put_varint w dimension;
-      Wire.put_varint w shards
+      Wire.put_varint w dimension
   | Metrics_r body ->
-      Wire.put_byte w 1;
+      Wire.put_byte w 0x21;
       Wire.put_string w body
   | Stats_r st ->
-      Wire.put_byte w 2;
+      Wire.put_byte w 0x22;
       Wire.put_string w st.backend;
       Wire.put_varint w st.clients;
       Wire.put_varint w st.batches;
@@ -134,14 +112,13 @@ let encode_response r =
       Wire.put_f64 w st.p50_ms;
       Wire.put_f64 w st.p90_ms;
       Wire.put_f64 w st.p99_ms;
-      Wire.put_varint w (List.length st.shards);
-      List.iter
-        (fun { shard; s_events; s_cells; s_messages } ->
-          Wire.put_varint w shard;
-          Wire.put_varint w s_events;
-          Wire.put_varint w s_cells;
-          Wire.put_varint w s_messages)
-        st.shards;
+      (match st.load with
+      | None -> Wire.put_byte w 0
+      | Some { swept; cells; stamped } ->
+          Wire.put_byte w 1;
+          Wire.put_varint w swept;
+          Wire.put_varint w cells;
+          Wire.put_varint w stamped);
       Wire.put_varint w (List.length st.conns);
       List.iter
         (fun { conn; events_in; stamps_out; dedup_hits; last_seq } ->
@@ -164,21 +141,24 @@ let encode_response r =
           Wire.put_bool w exact;
           Wire.put_varint w repairs)
   | Tracedump_r { dropped; spans; jsonl } ->
-      Wire.put_byte w 3;
+      Wire.put_byte w 0x23;
       Wire.put_varint w dropped;
       Wire.put_varint w spans;
       Wire.put_string w jsonl
   | Error_r msg ->
-      Wire.put_byte w 4;
+      Wire.put_byte w 0x24;
       Wire.put_string w msg);
   Wire.contents w
 
-let get_shard_stat r =
-  let shard = Wire.get_varint r in
-  let s_events = Wire.get_varint r in
-  let s_cells = Wire.get_varint r in
-  let s_messages = Wire.get_varint r in
-  { shard; s_events; s_cells; s_messages }
+let get_load r =
+  match Wire.get_byte r with
+  | 0 -> None
+  | 1 ->
+      let swept = Wire.get_varint r in
+      let cells = Wire.get_varint r in
+      let stamped = Wire.get_varint r in
+      Some { swept; cells; stamped }
+  | f -> Wire.malformed "unknown load flag %d" f
 
 let get_conn_stat r =
   let conn = Wire.get_varint r in
@@ -214,34 +194,31 @@ let get_stats r =
   let p50_ms = Wire.get_f64 r in
   let p90_ms = Wire.get_f64 r in
   let p99_ms = Wire.get_f64 r in
-  let nshards = Wire.get_count r in
-  let shards = List.init nshards (fun _ -> get_shard_stat r) in
+  let load = get_load r in
   let nconns = Wire.get_count r in
   let conns = List.init nconns (fun _ -> get_conn_stat r) in
   let stream = get_stream_stat r in
   {
     backend; clients; batches; messages; internal; dedup_hits; errors;
-    dropped; pending; p50_ms; p90_ms; p99_ms; shards; conns; stream;
+    dropped; pending; p50_ms; p90_ms; p99_ms; load; conns; stream;
   }
 
 let get_response r =
-  get_header "response" r;
   match Wire.get_byte r with
-  | 0 ->
+  | 0x20 ->
       let ok = Wire.get_bool r in
       let backend = Wire.get_string r in
       let processes = Wire.get_varint r in
       let dimension = Wire.get_varint r in
-      let shards = Wire.get_varint r in
-      Health_r { ok; backend; processes; dimension; shards }
-  | 1 -> Metrics_r (Wire.get_string r)
-  | 2 -> Stats_r (get_stats r)
-  | 3 ->
+      Health_r { ok; backend; processes; dimension }
+  | 0x21 -> Metrics_r (Wire.get_string r)
+  | 0x22 -> Stats_r (get_stats r)
+  | 0x23 ->
       let dropped = Wire.get_varint r in
       let spans = Wire.get_varint r in
       let jsonl = Wire.get_string r in
       Tracedump_r { dropped; spans; jsonl }
-  | 4 -> Error_r (Wire.get_string r)
+  | 0x24 -> Error_r (Wire.get_string r)
   | t -> Wire.malformed "unknown admin response tag %d" t
 
 let decode_response s = Wire.parse s get_response
@@ -254,9 +231,9 @@ let pp_request ppf = function
   | Tracedump -> Format.fprintf ppf "Tracedump"
 
 let pp_response ppf = function
-  | Health_r { ok; backend; processes; dimension; shards } ->
-      Format.fprintf ppf "Health{ok=%b; %s; n=%d; d=%d; shards=%d}" ok backend
-        processes dimension shards
+  | Health_r { ok; backend; processes; dimension } ->
+      Format.fprintf ppf "Health{ok=%b; %s; n=%d; d=%d}" ok backend processes
+        dimension
   | Metrics_r body -> Format.fprintf ppf "Metrics(%d bytes)" (String.length body)
   | Stats_r st ->
       Format.fprintf ppf

@@ -1,14 +1,14 @@
-(** The admin-channel protocol: a second, versioned frame family.
+(** The admin-channel protocol: the second plane of [synts serve].
 
     [synts serve] can listen on a second socket reserved for
-    introspection. Admin messages reuse the exact transport stack of the
-    data plane — {!Synts_server.Frame} length prefixes around
-    {!Synts_clock.Wire.frame} checksum frames — but the checksummed body
-    opens with its {e own} family header: {!family_magic} ([0xAD]) then a
-    family version byte, then a tag. A data-plane client that connects to
-    the admin port (or vice versa) is therefore rejected with a
-    descriptive decode error, not a misparse, and the admin protocol can
-    rev independently of the stamping protocol.
+    introspection. Admin messages travel in the one envelope of the data
+    plane — {!Synts_server.Frame} length prefixes around
+    {!Synts_clock.Wire.frame} checksum frames, whose version byte covers
+    both planes — and differ only in their tags: one tag byte names both
+    the plane and the verb. Admin tags are [0x20]–[0x24], past the data
+    plane's [0]–[9], so a data-plane body that reaches the admin socket
+    (or an admin body the data socket) is refused as an unknown tag of
+    the receiving plane, not misparsed.
 
     Like the data plane, integers are LEB128 varints and strings are
     length-prefixed; the latency quantiles are IEEE doubles in 8-byte
@@ -24,14 +24,11 @@ type request =
   | Stats
   | Tracedump  (** Drain the tracer ring. *)
 
-(** The engine's load. The daemon stamps on one domain and reports one
-    row, shard 0; the list shape is kept so the frame layout does not
-    change. *)
-type shard_stat = {
-  shard : int;
-  s_events : int;  (** Events swept. *)
-  s_cells : int;  (** Clock cells written (events x components). *)
-  s_messages : int;  (** Messages stamped. *)
+(** The engine's load. *)
+type load = {
+  swept : int;  (** Events swept. *)
+  cells : int;  (** Clock cells written (events x components). *)
+  stamped : int;  (** Messages stamped. *)
 }
 
 type conn_stat = {
@@ -64,7 +61,7 @@ type stats = {
   p50_ms : float;  (** Stamp-batch latency quantiles. *)
   p90_ms : float;
   p99_ms : float;
-  shards : shard_stat list;
+  load : load option;  (** [None] on the offline backend. *)
   conns : conn_stat list;
   stream : stream_stat option;  (** Offline-stream watermarks. *)
 }
@@ -75,22 +72,14 @@ type response =
       backend : string;
       processes : int;
       dimension : int;
-      shards : int;  (** Always 1; kept so the frame layout does not change. *)
     }
   | Metrics_r of string  (** Rendered Prometheus text or JSON. *)
   | Stats_r of stats
   | Tracedump_r of { dropped : int; spans : int; jsonl : string }
   | Error_r of string
 
-val family_magic : char
-(** First body byte of every admin message ([0xAD]). *)
-
-val current_version : int
-(** The admin family version this build speaks (1). *)
-
 val encode_request : request -> string
-(** Family header + tag + payload; wrap with [Wire.frame] before
-    [Frame.send]. *)
+(** Tag + payload; wrap with [Wire.frame] before [Frame.send]. *)
 
 val encode_response : response -> string
 

@@ -1,23 +1,8 @@
-module Wire = Synts_clock.Wire
 module Admin = Synts_obs.Admin
 
 type t = { fd : Unix.file_descr; mutable closed : bool }
 
-let connect_fd = function
-  | Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Server.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.connect fd (Unix.ADDR_INET (addr, port));
-      fd
-
-let connect address = { fd = connect_fd address; closed = false }
+let connect address = { fd = Server.connect address; closed = false }
 
 let close t =
   if not t.closed then begin
@@ -26,18 +11,8 @@ let close t =
   end
 
 let roundtrip t req =
-  Frame.send t.fd (Wire.frame (Admin.encode_request req));
-  let reply =
-    match Frame.recv t.fd with
-    | `Eof -> failwith "admin channel closed"
-    | `Frame f -> f
-  in
-  match Wire.unframe reply with
-  | Error e -> failwith ("corrupt admin reply frame: " ^ e)
-  | Ok body -> (
-      match Admin.decode_response body with
-      | Error e -> failwith ("bad admin reply: " ^ e)
-      | Ok resp -> resp)
+  Frame.call t.fd ~encode:Admin.encode_request ~decode:Admin.decode_response
+    req
 
 let unexpected what resp =
   Format.kasprintf failwith "unexpected %s reply: %a" what Admin.pp_response
@@ -45,8 +20,8 @@ let unexpected what resp =
 
 let health t =
   match roundtrip t Admin.Health with
-  | Admin.Health_r { ok; backend; processes; dimension; shards } ->
-      (ok, backend, processes, dimension, shards)
+  | Admin.Health_r { ok; backend; processes; dimension } ->
+      (ok, backend, processes, dimension)
   | Admin.Error_r e -> failwith e
   | other -> unexpected "health" other
 

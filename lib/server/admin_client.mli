@@ -2,19 +2,18 @@
     and the obs smoke tier speak.
 
     Unlike {!Client} there is no hello exchange: the admin channel is
-    request/response from the first frame, and each call is one round
-    trip. All calls raise [Failure] on protocol errors (including the
-    family-mismatch rejection a data-plane port answers with) and
-    [Unix.Unix_error] on transport errors. *)
+    request/response from the first frame, and each call is one
+    {!Frame.call} round trip. All calls raise [Failure] on protocol
+    errors (including the unknown-tag rejection a data-plane port
+    answers with) and [Unix.Unix_error] on transport errors. *)
 
 type t
 
 val connect : Server.address -> t
 val close : t -> unit
 
-val health :
-  t -> bool * string * int * int * int
-(** [(ok, backend, processes, dimension, shards)]. *)
+val health : t -> bool * string * int * int
+(** [(ok, backend, processes, dimension)]. *)
 
 val metrics : t -> Synts_obs.Admin.metrics_format -> string
 (** The merged registry snapshot (process, service and engine), rendered

@@ -12,12 +12,12 @@ let merged_snapshot service =
 
 let stats service =
   let p50_ms, p90_ms, p99_ms = Service.stamp_quantiles service in
-  let shards =
+  let load =
     match Service.backend service with
     | Service.Online e ->
-        let s_events, s_cells, s_messages = Engine.load e in
-        [ { Admin.shard = 0; s_events; s_cells; s_messages } ]
-    | Service.Offline_stream _ -> []
+        let swept, cells, stamped = Engine.load e in
+        Some { Admin.swept; cells; stamped }
+    | Service.Offline_stream _ -> None
   in
   let conns =
     List.map
@@ -53,7 +53,7 @@ let stats service =
     p50_ms;
     p90_ms;
     p99_ms;
-    shards;
+    load;
     conns;
     stream;
   }
@@ -72,7 +72,6 @@ let handle service (req : Admin.request) : Admin.response =
           backend = Service.backend_name service;
           processes = Ingest.processes sink;
           dimension = Ingest.dimension sink;
-          shards = 1;
         }
   | Admin.Metrics fmt ->
       let snap = merged_snapshot service in

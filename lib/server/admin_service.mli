@@ -3,22 +3,21 @@
 
     Runs on the serve loop's thread between data-plane requests, so
     every read — per-connection tallies, backend queue depths, merged
-    per-shard registries, the tracer ring — is a coherent snapshot;
-    nothing here blocks or stamps. *)
+    registries, the tracer ring — is a coherent snapshot; nothing here
+    blocks or stamps. *)
 
 val merged_snapshot : Service.t -> Synts_telemetry.Telemetry.snapshot
 (** The default registry, the service-private registry and the engine's
-    per-shard registries, merged with {!Synts_obs.Merge.snapshots}. *)
+    registry, merged with {!Synts_obs.Merge.snapshots}. *)
 
 val stats : Service.t -> Synts_obs.Admin.stats
 (** The [Stats] payload: totals, dedup/drop/pending counters, stamp
-    latency quantiles, per-shard loads, per-connection rows and (in
-    offline mode) the streaming watermarks. *)
+    latency quantiles, the engine's load (online mode), per-connection
+    rows and (offline mode) the streaming watermarks. *)
 
 val handle : Service.t -> Synts_obs.Admin.request -> Synts_obs.Admin.response
 
 val handle_raw : Service.t -> string -> string
-(** Byte-level path: unframe, decode (family magic + version checked),
-    {!handle}, encode, re-frame. Malformed input yields a framed
-    [Error_r]. A data-plane request arriving here decodes as "not an
-    admin-family message". *)
+(** Byte-level path: unframe, decode, {!handle}, encode, re-frame.
+    Malformed input yields a framed [Error_r]. A data-plane request
+    arriving here is refused as an unknown admin request tag. *)

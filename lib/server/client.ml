@@ -1,4 +1,3 @@
-module Wire = Synts_clock.Wire
 module Ingest = Synts_ingest.Ingest
 module Tm = Synts_telemetry.Telemetry
 
@@ -21,54 +20,37 @@ type t = {
   mutable seq : int;  (* next Observe sequence number *)
   mutable processes : int;  (* grows when a churn delta joins a process *)
   mutable dimension : int;  (* follows the server's current epoch *)
-  shards : int;
   mutable epoch : int;
   mutable closed : bool;
 }
 
-let connect_fd = function
-  | Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Server.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.connect fd (Unix.ADDR_INET (addr, port));
-      fd
-
 let roundtrip fd req =
   Tm.Counter.incr m_rpcs;
   let t0 = Unix.gettimeofday () in
-  Frame.send fd (Wire.frame (Protocol.encode_request req));
-  let reply =
-    match Frame.recv fd with
-    | `Eof -> failwith "server closed the connection"
-    | `Frame f -> f
+  let resp =
+    Frame.call fd ~encode:Protocol.encode_request
+      ~decode:Protocol.decode_response req
   in
   Tm.Histogram.observe m_latency (1000. *. (Unix.gettimeofday () -. t0));
-  match Wire.unframe reply with
-  | Error e -> failwith ("corrupt reply frame: " ^ e)
-  | Ok body -> (
-      match Protocol.decode_response body with
-      | Error e -> failwith ("bad reply: " ^ e)
-      | Ok resp -> resp)
+  resp
+
+let unexpected what reply =
+  Format.asprintf "unexpected %s reply: %a" what Protocol.pp_response reply
 
 let connect address =
-  let fd = connect_fd address in
+  let fd = Server.connect address in
   match roundtrip fd Protocol.Hello with
-  | Protocol.Welcome { processes; dimension; shards; epoch } ->
-      { fd; seq = 0; processes; dimension; shards; epoch; closed = false }
-  | Protocol.Error_r e ->
+  | Protocol.Welcome { processes; dimension; epoch } ->
+      { fd; seq = 0; processes; dimension; epoch; closed = false }
+  | reply ->
       Unix.close fd;
-      failwith ("server rejected hello: " ^ e)
-  | other ->
+      failwith
+        (match reply with
+        | Protocol.Error_r e -> "server rejected hello: " ^ e
+        | other -> unexpected "hello" other)
+  | exception e ->
       Unix.close fd;
-      Format.kasprintf failwith "unexpected hello reply: %a"
-        Protocol.pp_response other
+      raise e
 
 let close t =
   if not t.closed then begin
@@ -76,7 +58,6 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-let shards t = t.shards
 let processes t = t.processes
 let dimension t = t.dimension
 let epoch t = t.epoch
@@ -89,14 +70,11 @@ let churn t delta =
       t.dimension <- dimension;
       Ok (epoch, processes, dimension)
   | Protocol.Error_r e -> Error e
-  | other ->
-      Format.asprintf "unexpected churn reply: %a" Protocol.pp_response other
-      |> Result.error
+  | other -> Error (unexpected "churn" other)
 
 let corruption_error e =
-  let prefix p = String.length e >= String.length p
-                 && String.sub e 0 (String.length p) = p in
-  prefix "bad frame" || prefix "bad request"
+  String.starts_with ~prefix:"bad frame" e
+  || String.starts_with ~prefix:"bad request" e
 
 let observe_batch t events =
   let seq = t.seq in
@@ -117,9 +95,7 @@ let observe_batch t events =
            so the session survives the failure in lockstep. *)
         t.seq <- seq;
         failwith e
-    | other ->
-        Format.kasprintf failwith "unexpected observe reply: %a"
-          Protocol.pp_response other
+    | other -> failwith (unexpected "observe" other)
   in
   attempt 0
 
@@ -129,9 +105,7 @@ let resolved_rpc t req name =
   match roundtrip t.fd req with
   | Protocol.Resolved resolved -> resolved
   | Protocol.Error_r e -> failwith e
-  | other ->
-      Format.kasprintf failwith "unexpected %s reply: %a" name
-        Protocol.pp_response other
+  | other -> failwith (unexpected name other)
 
 let drain t = resolved_rpc t Protocol.Drain "drain"
 let finish t = resolved_rpc t Protocol.Finish "finish"
@@ -140,9 +114,7 @@ let verify_server t =
   match roundtrip t.fd Protocol.Verify with
   | Protocol.Verified { ok; checked } -> Ok (ok, checked)
   | Protocol.Error_r e -> Error e
-  | other -> Format.asprintf "unexpected verify reply: %a"
-               Protocol.pp_response other
-             |> Result.error
+  | other -> Error (unexpected "verify" other)
 
 type stats = {
   clients : int;
@@ -159,17 +131,13 @@ let server_stats t =
     ->
       Ok { clients; batches; messages; internal; dropped; pending }
   | Protocol.Error_r e -> Error e
-  | other -> Format.asprintf "unexpected stats reply: %a"
-               Protocol.pp_response other
-             |> Result.error
+  | other -> Error (unexpected "stats" other)
 
 let shutdown t =
   (match roundtrip t.fd Protocol.Shutdown with
   | Protocol.Bye -> ()
   | Protocol.Error_r e -> failwith e
-  | other ->
-      Format.kasprintf failwith "unexpected shutdown reply: %a"
-        Protocol.pp_response other);
+  | other -> failwith (unexpected "shutdown" other));
   close t
 
 module Sink = struct

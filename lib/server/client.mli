@@ -21,9 +21,6 @@ val connect : Server.address -> t
 val close : t -> unit
 (** Close the connection (the server keeps running). *)
 
-val shards : t -> int
-(** The server's effective shard count, from [Welcome]. *)
-
 val processes : t -> int
 val dimension : t -> int
 (** Process count and stamp dimension as of the last [Welcome] or

@@ -56,17 +56,14 @@ type t = {
   mutable batch : int;  (* events in the last batch *)
   stats : stats;
   mutable events : Event_stream.t;
-  resolved : (int * Synts_core.Internal_events.stamp) Queue.t;
-  pending_cap : int;
-  mutable dropped : int;
+  resolved : Ingest.Pending.t;
   mutable ticket_base : int;
   mutable issued : int;
   mutable stopped : bool;
 }
 
-let of_layout ?(pending_cap = 65536) ?init ?(first_ticket = 0) ~n ~dim ~index
-    () =
-  if pending_cap < 1 then invalid_arg "Engine.create: pending_cap must be >= 1";
+let of_layout ?(pending_cap = Ingest.Pending.default_cap) ?init
+    ?(first_ticket = 0) ~n ~dim ~index () =
   if n < 0 then invalid_arg "Engine.create: negative process count";
   if dim < 1 then invalid_arg "Engine.create: dimension must be >= 1";
   if first_ticket < 0 then invalid_arg "Engine.create: negative first ticket";
@@ -96,9 +93,7 @@ let of_layout ?(pending_cap = 65536) ?init ?(first_ticket = 0) ~n ~dim ~index
     batch = 0;
     stats = make_stats ();
     events = Event_stream.create ~dimension:dim ~n;
-    resolved = Queue.create ();
-    pending_cap;
-    dropped = 0;
+    resolved = Ingest.Pending.create ~cap:pending_cap m_dropped;
     ticket_base = first_ticket;
     issued = 0;
     stopped = false;
@@ -112,8 +107,8 @@ let create ?pending_cap d =
 
 let processes t = t.n
 let dimension t = t.dim
-let pending t = Queue.length t.resolved
-let dropped t = t.dropped
+let pending t = Ingest.Pending.length t.resolved
+let dropped t = Ingest.Pending.dropped t.resolved
 let next_ticket t = t.ticket_base + t.issued
 let process_vectors t = Array.init t.n (Stamp_store.get t.slab)
 
@@ -123,18 +118,10 @@ let load t =
   (t.stats.swept, Tm.Counter.value t.stats.c_cells,
    Tm.Counter.value t.stats.c_messages)
 
-(* Bounded like a session's pending queue: when a client never drains,
-   the oldest resolved stamp is dropped (and counted) rather than
-   growing the daemon without bound. *)
 let enqueue t resolved =
   List.iter
     (fun (ticket, stamp) ->
-      if Queue.length t.resolved >= t.pending_cap then begin
-        ignore (Queue.pop t.resolved);
-        t.dropped <- t.dropped + 1;
-        Tm.Counter.incr m_dropped
-      end;
-      Queue.push (t.ticket_base + ticket, stamp) t.resolved)
+      Ingest.Pending.push t.resolved (t.ticket_base + ticket, stamp))
     resolved
 
 (* Endpoint [p] of the message stamped in row [r]. Its clock row still
@@ -222,10 +209,7 @@ let observe_batch t events =
 
 let observe t ev = (observe_batch t [| ev |]).(0)
 
-let drain t =
-  let out = List.of_seq (Queue.to_seq t.resolved) in
-  Queue.clear t.resolved;
-  out
+let drain t = Ingest.Pending.drain t.resolved
 
 let finish t =
   let flushed =

@@ -23,10 +23,10 @@ type t
 
 val create : ?pending_cap:int -> Synts_graph.Decomposition.t -> t
 (** [create d] builds an engine over decomposition [d].
-    [pending_cap] (default 65536, mirroring {!Synts_session.Session})
-    bounds the resolved-stamp queue: beyond it the oldest entry is
-    dropped and counted in {!dropped}. [pending_cap < 1] raises
-    [Invalid_argument]. *)
+    [pending_cap] (default 65536, the {!Synts_ingest.Ingest.Pending}
+    bound every sink shares) bounds the resolved-stamp queue: beyond it
+    the oldest entry is dropped and counted in {!dropped}.
+    [pending_cap < 1] raises [Invalid_argument]. *)
 
 val of_layout :
   ?pending_cap:int ->

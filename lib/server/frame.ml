@@ -66,6 +66,18 @@ let recv fd =
       | `Eof -> assert false
       | `Bytes body -> `Frame (Bytes.unsafe_to_string body))
 
+let call fd ~encode ~decode req =
+  send fd (Wire.frame (encode req));
+  match recv fd with
+  | `Eof -> failwith "peer closed the connection"
+  | `Frame reply -> (
+      match Wire.unframe reply with
+      | Error e -> failwith ("corrupt reply frame: " ^ e)
+      | Ok body -> (
+          match decode body with
+          | Error e -> failwith ("bad reply: " ^ e)
+          | Ok resp -> resp))
+
 (* Reassembly buffer: live bytes are [data.[rd .. wr)]. Frames are cut
    straight out of it; the live tail is moved to the front only when a
    feed would not fit behind it, so draining k frames from one read

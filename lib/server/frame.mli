@@ -1,10 +1,11 @@
 (** Length-prefixed frame transport over file descriptors.
 
-    On the wire each protocol message is a 4-byte big-endian length
-    followed by a versioned {!Synts_clock.Wire.frame} (magic, version,
+    On the wire each message of either plane is a 4-byte big-endian
+    length followed by a {!Synts_clock.Wire.frame} (version byte,
     checksum, body). The length prefix delimits frames on the stream;
     the checksum frame inside authenticates the bytes; decoding happens
-    one layer up ({!Service.handle_raw} / the client). *)
+    one layer up ({!Service.handle_raw}, {!Admin_service.handle_raw},
+    {!call}). *)
 
 val max_frame : int
 (** Upper bound on an accepted frame (16 MiB) — a sanity check against
@@ -26,6 +27,18 @@ val recv : Unix.file_descr -> [ `Frame of string | `Eof ]
 (** Read one framed message (checksum frame included, not yet
     validated). [`Eof] on orderly close before a length prefix; raises
     [Failure] on truncation mid-frame or an oversized length. *)
+
+val call :
+  Unix.file_descr ->
+  encode:('req -> string) ->
+  decode:(string -> ('resp, string) result) ->
+  'req ->
+  'resp
+(** One blocking round trip of a client of either plane: the encoded
+    request in a checksum frame, then the reply read, unframed and
+    decoded. Raises [Failure] when the peer closes the connection first
+    or the reply is corrupt or undecodable, and [Unix.Unix_error] on
+    transport errors. *)
 
 (** {1 Incremental decoding} — for a non-blocking select loop. *)
 

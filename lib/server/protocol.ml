@@ -14,7 +14,7 @@ type request =
   | Shutdown
 
 type response =
-  | Welcome of { processes : int; dimension : int; shards : int; epoch : int }
+  | Welcome of { processes : int; dimension : int; epoch : int }
   | Outcomes of Ingest.outcome array
   | Resolved of (Ingest.ticket * Internal_events.stamp) list
   | Verified of { ok : bool; checked : int }
@@ -138,11 +138,10 @@ let outcomes_capacity outcomes =
 
 let put_response w r =
   match r with
-  | Welcome { processes; dimension; shards; epoch } ->
+  | Welcome { processes; dimension; epoch } ->
       Wire.put_byte w 0;
       Wire.put_varint w processes;
       Wire.put_varint w dimension;
-      Wire.put_varint w shards;
       Wire.put_varint w epoch
   | Outcomes outcomes ->
       Wire.put_byte w 8;
@@ -250,9 +249,8 @@ let get_response r =
   | 0 ->
       let processes = Wire.get_varint r in
       let dimension = Wire.get_varint r in
-      let shards = Wire.get_varint r in
       let epoch = Wire.get_varint r in
-      Welcome { processes; dimension; shards; epoch }
+      Welcome { processes; dimension; epoch }
   | 3 ->
       let ok = Wire.get_bool r in
       let checked = Wire.get_varint r in
@@ -296,9 +294,9 @@ let pp_request ppf = function
   | Shutdown -> Format.fprintf ppf "Shutdown"
 
 let pp_response ppf = function
-  | Welcome { processes; dimension; shards; epoch } ->
-      Format.fprintf ppf "Welcome{n=%d; d=%d; shards=%d; epoch=%d}" processes
-        dimension shards epoch
+  | Welcome { processes; dimension; epoch } ->
+      Format.fprintf ppf "Welcome{n=%d; d=%d; epoch=%d}" processes dimension
+        epoch
   | Outcomes o -> Format.fprintf ppf "Outcomes(%d)" (Array.length o)
   | Resolved r -> Format.fprintf ppf "Resolved(%d)" (List.length r)
   | Verified { ok; checked } ->

@@ -3,10 +3,13 @@
     Messages are byte strings: a one-byte tag followed by LEB128 varints
     and length-prefixed vector payloads, built with the
     {!Synts_clock.Wire} codec vectors use. On the socket every message
-    travels inside a versioned {!Synts_clock.Wire.frame} under a 4-byte
-    big-endian length prefix (see {!Frame}), so corruption is caught by
-    the checksum before decoding and version mismatches are rejected
-    with a clear error.
+    travels inside a {!Synts_clock.Wire.frame} (version byte, checksum)
+    under a 4-byte big-endian length prefix (see {!Frame}), so
+    corruption is caught by the checksum before decoding and version
+    mismatches are rejected with a clear error. The admin plane
+    ({!Synts_obs.Admin}) shares that envelope; its tags start at [0x20],
+    past this plane's [0]–[9], so each plane refuses the other's bodies
+    as unknown tags.
 
     The stamps of an [Outcomes] or [Resolved] reply are written in
     order, the first as a plain vector and every later one delta-coded
@@ -36,9 +39,7 @@ type request =
   | Shutdown
 
 type response =
-  | Welcome of { processes : int; dimension : int; shards : int; epoch : int }
-      (** [shards] is always 1; it stays so the frame layout does not
-          change. *)
+  | Welcome of { processes : int; dimension : int; epoch : int }
   | Outcomes of Synts_ingest.Ingest.outcome array
   | Resolved of
       (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list

@@ -22,6 +22,26 @@ let m_accept_errors =
   Tm.Counter.v ~help:"Failed accepts, such as on fd exhaustion"
     "server.accept_errors"
 
+(* Why the loop closed a connection, with one counter per cause. *)
+type cause = Eof | Socket_error | Oversized
+
+let m_closed_eof =
+  Tm.Counter.v ~help:"Connections closed after the peer's orderly close"
+    "server.closed.eof"
+
+let m_closed_error =
+  Tm.Counter.v ~help:"Connections closed on a reset or other socket error"
+    "server.closed.error"
+
+let m_closed_oversized =
+  Tm.Counter.v ~help:"Connections closed on a length prefix past the frame cap"
+    "server.closed.oversized"
+
+let m_closed = function
+  | Eof -> m_closed_eof
+  | Socket_error -> m_closed_error
+  | Oversized -> m_closed_oversized
+
 (* [Unix.select] handles only fds below FD_SETSIZE (1024) and fails on
    any other. An accepted connection of either plane whose fd number is
    at or past this cap is closed at once, so every fd the loop selects
@@ -56,68 +76,91 @@ let address_of_string s =
   | None ->
       if s = "" then Error "empty address" else Ok (Unix_socket s)
 
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> failwith (Printf.sprintf "unknown host %S" host))
+let sockaddr = function
+  | Unix_socket path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) ->
+      let host =
+        try Unix.inet_addr_of_string host
+        with Failure _ -> (
+          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+          with Not_found -> failwith (Printf.sprintf "unknown host %S" host))
+      in
+      Unix.ADDR_INET (host, port)
+
+let socket addr = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
 
 let bind_listen address =
-  match address with
-  | Unix_socket path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-  | Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve host, port));
-      Unix.listen fd 64;
-      fd
+  let addr = sockaddr address in
+  let fd = socket addr in
+  (match address with
+  | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+  Unix.bind fd addr;
+  Unix.listen fd 64;
+  fd
+
+let connect address =
+  let addr = sockaddr address in
+  let fd = socket addr in
+  match Unix.connect fd addr with
+  | () -> fd
+  | exception e ->
+      Unix.close fd;
+      raise e
+
+(* The plane a connection was accepted on. A data connection keeps its
+   protocol state and the output buffer its replies to one read gather
+   in; an admin connection carries nothing beyond its reassembly
+   buffer, and each admin frame is answered from a coherent read of the
+   service between data-plane requests. *)
+type plane = Data of Service.conn * Wire.writer | Admin
+
+type conn = { plane : plane; buf : Frame.buffer }
 
 (* One select loop owns the data listener, the optional admin listener
-   and every connection of both planes. Admin connections carry no
-   protocol state beyond a frame reassembly buffer — each admin frame is
-   answered from a coherent read of the service between data-plane
-   requests. A data connection's replies to one read gather in its
-   output buffer and leave in one write. *)
+   and every connection of both planes, in one table. *)
 let loop ?admin service listen_fd address =
-  let conns :
-      (Unix.file_descr, Service.conn * Frame.buffer * Wire.writer) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let admin_conns : (Unix.file_descr, Frame.buffer) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let admin_fd = Option.map fst admin in
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
+  let listeners = listen_fd :: Option.to_list (Option.map fst admin) in
   let scratch = Bytes.create 65536 in
   let running = ref true in
   let paused_until = ref 0. in
-  let close_fd fd =
-    paused_until := 0.;
-    try Unix.close fd with Unix.Unix_error _ -> ()
+  let close fd cause =
+    match Hashtbl.find_opt conns fd with
+    | None -> ()
+    | Some { plane; _ } ->
+        (match plane with
+        | Data (conn, _) -> Service.detach service conn
+        | Admin -> ());
+        Hashtbl.remove conns fd;
+        Tm.Counter.incr (m_closed cause);
+        paused_until := 0.;
+        (try Unix.close fd with Unix.Unix_error _ -> ())
   in
-  let close_conn fd =
-    (match Hashtbl.find_opt conns fd with
-    | Some (conn, _, _) -> Service.detach service conn
-    | None -> ());
-    Hashtbl.remove conns fd;
-    close_fd fd
-  in
-  let close_admin_conn fd =
-    Hashtbl.remove admin_conns fd;
-    close_fd fd
-  in
-  let accept fd on_client =
-    match Unix.accept fd with
+  let accept listener =
+    match Unix.accept listener with
     | client, _ ->
         if fd_number client >= fd_cap then begin
           Tm.Counter.incr m_refused;
           try Unix.close client with Unix.Unix_error _ -> ()
         end
-        else on_client client
+        else begin
+          let plane =
+            if listener = listen_fd then begin
+              Tm.Counter.incr m_accepted;
+              Data (Service.attach service, Wire.writer 4096)
+            end
+            else begin
+              Tm.Counter.incr m_admin_accepted;
+              Admin
+            end
+          in
+          Log.debug ~component:"server" ~tick:(Service.batches service)
+            (match plane with
+            | Data _ -> "client connected"
+            | Admin -> "admin client connected");
+          Hashtbl.replace conns client { plane; buf = Frame.buffer () }
+        end
     | exception Unix.Unix_error (err, _, _) -> (
         Tm.Counter.incr m_accept_errors;
         Log.warn ~component:"server" ~tick:(Service.batches service)
@@ -127,57 +170,45 @@ let loop ?admin service listen_fd address =
         | Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED -> ()
         | _ -> paused_until := Unix.gettimeofday () +. accept_backoff)
   in
-  let serve_fd fd =
-    let conn, buf, out = Hashtbl.find conns fd in
+  (* One read: each complete frame goes to its plane's handler, and a
+     data connection's replies to the read leave in one write. *)
+  let serve fd { plane; buf } =
     match Unix.read fd scratch 0 (Bytes.length scratch) with
-    | 0 -> close_conn fd
+    | 0 -> close fd Eof
     | len -> (
         Frame.feed buf scratch len;
         let rec drain () =
-          match Frame.next buf with
-          | None -> ()
-          | Some frame ->
+          match (Frame.next buf, plane) with
+          | None, _ -> ()
+          | Some frame, Data (conn, out) ->
               if Service.serve_frame service conn frame out then
                 running := false
               else drain ()
-        in
-        match drain () with
-        | () -> Frame.flush fd out
-        | exception Failure _ ->
-            (* Desynchronised stream (oversized length prefix): the
-               connection is unrecoverable, the daemon is not. The
-               replies before it still go out. *)
-            (try Frame.flush fd out with Unix.Unix_error _ -> ());
-            close_conn fd)
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        close_conn fd
-  in
-  let serve_admin_fd fd =
-    let buf = Hashtbl.find admin_conns fd in
-    match Unix.read fd scratch 0 (Bytes.length scratch) with
-    | 0 -> close_admin_conn fd
-    | len ->
-        Frame.feed buf scratch len;
-        let rec drain () =
-          match Frame.next buf with
-          | None -> ()
-          | Some frame ->
+          | Some frame, Admin ->
               Tm.Counter.incr m_admin_requests;
               Frame.send fd (Admin_service.handle_raw service frame);
               drain ()
         in
-        (try drain () with Failure _ -> close_admin_conn fd)
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        close_admin_conn fd
+        let flush () =
+          match plane with Data (_, out) -> Frame.flush fd out | Admin -> ()
+        in
+        match drain () with
+        | () -> flush ()
+        | exception Failure _ ->
+            (* Desynchronised stream (oversized length prefix): the
+               connection is unrecoverable, the daemon is not. The
+               replies before it still go out. *)
+            (try flush () with Unix.Unix_error _ -> ());
+            close fd Oversized)
+    | exception Unix.Unix_error _ -> close fd Socket_error
   in
   while !running do
     if !paused_until > 0. && Unix.gettimeofday () >= !paused_until then
       paused_until := 0.;
     let paused = !paused_until > 0. in
     let fds =
-      (if paused then [] else listen_fd :: Option.to_list admin_fd)
-      @ Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
-      @ Hashtbl.fold (fun fd _ acc -> fd :: acc) admin_conns []
+      Hashtbl.fold (fun fd _ acc -> fd :: acc) conns
+        (if paused then [] else listeners)
     in
     let timeout =
       (* Negative means no timeout to select: never while paused. *)
@@ -189,25 +220,13 @@ let loop ?admin service listen_fd address =
     | readable, _, _ ->
         List.iter
           (fun fd ->
-            if fd = listen_fd then
-              accept listen_fd (fun client ->
-                  Tm.Counter.incr m_accepted;
-                  Log.debug ~component:"server" ~tick:(Service.batches service)
-                    "client connected";
-                  Hashtbl.replace conns client
-                    (Service.attach service, Frame.buffer (), Wire.writer 4096))
-            else if admin_fd = Some fd then
-              accept fd (fun client ->
-                  Tm.Counter.incr m_admin_accepted;
-                  Log.debug ~component:"server" ~tick:(Service.batches service)
-                    "admin client connected";
-                  Hashtbl.replace admin_conns client (Frame.buffer ()))
-            else if Hashtbl.mem conns fd then (
-              try serve_fd fd
-              with Unix.Unix_error _ | Failure _ -> close_conn fd)
-            else if Hashtbl.mem admin_conns fd then
-              try serve_admin_fd fd
-              with Unix.Unix_error _ | Failure _ -> close_admin_conn fd)
+            if List.mem fd listeners then accept fd
+            else
+              match Hashtbl.find_opt conns fd with
+              | Some c -> (
+                  try serve fd c
+                  with Unix.Unix_error _ | Failure _ -> close fd Socket_error)
+              | None -> ())
           readable
   done;
   Log.info ~component:"server" ~tick:(Service.batches service)
@@ -218,22 +237,15 @@ let loop ?admin service listen_fd address =
         ("dropped", string_of_int (Service.dropped service));
       ]
     "shutdown";
-  Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) conns;
+  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Hashtbl.iter (fun fd _ -> close_quietly fd) conns;
   Hashtbl.reset conns;
-  Hashtbl.iter
-    (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
-    admin_conns;
-  Hashtbl.reset admin_conns;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (match address with
-  | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
-  (match admin with
-  | Some (fd, Unix_socket path) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Some (fd, Tcp _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
+  List.iter close_quietly listeners;
+  List.iter
+    (function
+      | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+      | Tcp _ -> ())
+    (address :: Option.to_list (Option.map snd admin));
   Service.stop service
 
 let bind_admin = Option.map (fun address -> (bind_listen address, address))

@@ -1,9 +1,18 @@
 (** The [synts serve] daemon: a select loop over Unix or TCP sockets.
 
-    One single-threaded loop owns the listening socket, the engine and
-    every client connection. Clients speak the {!Frame} transport
-    carrying {!Protocol} messages; all protocol logic is in {!Service}.
-    The replies to one read of a connection leave in one write.
+    One single-threaded loop owns the listening sockets, the engine and
+    every client connection, data and admin alike, in one connection
+    table: each connection records its plane and its reassembly buffer,
+    and one read function hands each complete {!Frame} to the plane's
+    handler ({!Service} for {!Protocol} messages, {!Admin_service} for
+    {!Synts_obs.Admin} ones). The replies to one read of a data
+    connection leave in one write.
+
+    Every connection the loop closes is counted by cause, on both
+    planes: [server.closed.eof] (the peer closed),
+    [server.closed.error] (a reset or another socket error) and
+    [server.closed.oversized] (a length prefix past {!Frame.max_frame},
+    which desynchronises the stream).
 
     File descriptors are a resource clients can exhaust. A failed
     [accept] is counted ([server.accept_errors]) and never fatal; while
@@ -24,6 +33,11 @@ val pp_address : Format.formatter -> address -> unit
 val address_of_string : string -> (address, string) result
 (** ["host:port"] is TCP; anything else is a Unix socket path. *)
 
+val connect : address -> Unix.file_descr
+(** A client socket connected to [address] — how {!Client} and
+    {!Admin_client} dial either plane. Raises [Unix.Unix_error] when the
+    connection fails and [Failure] on an unknown host. *)
+
 val serve :
   ?check:bool ->
   ?offline:bool ->
@@ -37,7 +51,7 @@ val serve :
     Unix socket path is unlinked first and removed again on exit.
     [offline]/[window] select the streaming-offline backend — see
     {!Service.create}. [admin] additionally listens on a second address
-    speaking the {!Synts_obs.Admin} frame family
+    for the {!Synts_obs.Admin} plane
     ([health]/[metrics]/[stats]/[tracedump], answered by
     {!Admin_service} on the same loop, between data-plane requests). *)
 

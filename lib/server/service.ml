@@ -17,6 +17,15 @@ let m_requests =
 let m_errors =
   Tm.Counter.v ~help:"Requests answered with an error" "server.errors"
 
+let m_bad_frames =
+  Tm.Counter.v
+    ~help:"Frames refused before decoding: checksum, version or truncation"
+    "server.bad_frames"
+
+let m_bad_requests =
+  Tm.Counter.v ~help:"Frame bodies the request decoder refused"
+    "server.bad_requests"
+
 let m_dups =
   Tm.Counter.v ~help:"Duplicate Observe requests answered from the reply cache"
     "server.duplicates"
@@ -175,7 +184,9 @@ let pending t =
   | Offline_stream s -> Synts_ingest.Offline_sink.pending s
 
 let dropped t =
-  match t.backend with Online e -> Engine.dropped e | Offline_stream _ -> 0
+  match t.backend with
+  | Online e -> Engine.dropped e
+  | Offline_stream s -> Synts_ingest.Offline_sink.dropped s
 
 let stamp_quantiles t =
   let q p = Tm.Histogram.quantile t.stamp_ms p in
@@ -433,7 +444,6 @@ let handle t conn (req : Protocol.request) : Protocol.response =
         {
           processes = Ingest.processes t.sink;
           dimension = Ingest.dimension t.sink;
-          shards = 1;
           epoch = epoch t;
         }
   | Observe { seq; events } -> (
@@ -521,10 +531,14 @@ let observe_rows t conn e seq events =
 let reply t conn raw =
   t.bye <- false;
   match Wire.unframe raw with
-  | Error e -> frame_into t t.reply (error t ("bad frame: " ^ e))
+  | Error e ->
+      Tm.Counter.incr m_bad_frames;
+      frame_into t t.reply (error t ("bad frame: " ^ e))
   | Ok body -> (
       match Protocol.decode_request body with
-      | Error e -> frame_into t t.reply (error t ("bad request: " ^ e))
+      | Error e ->
+          Tm.Counter.incr m_bad_requests;
+          frame_into t t.reply (error t ("bad request: " ^ e))
       | Ok req -> (
           let bytes =
             match req with

@@ -48,7 +48,7 @@ val create :
     {!Synts_core.Offline.timestamp_trace} and requires the same
     precedes/concurrent verdict on every message pair
     (order-equivalence — the streamed vectors are not bit-identical to
-    the batch ones). [Welcome] always reports one shard. *)
+    the batch ones). *)
 
 type conn
 
@@ -70,7 +70,9 @@ val handle_raw : t -> conn -> string -> string
     frame. Malformed or corrupted input yields a framed [Error_r]
     {e without} touching the connection's sequence state, so a
     retransmission of the damaged request still lands in the dedup
-    window. *)
+    window. A frame [unframe] refuses is counted in [server.bad_frames],
+    a body the decoder refuses (an admin-plane body among them) in
+    [server.bad_requests]; both also count in {!errors}. *)
 
 val serve_frame : t -> conn -> string -> Synts_clock.Wire.writer -> bool
 (** [serve_frame t conn raw out] is {!handle_raw} with the reply appended
@@ -124,7 +126,8 @@ val pending : t -> int
 (** Resolved stamps queued in the backend awaiting [Drain]. *)
 
 val dropped : t -> int
-(** Resolved stamps the backend discarded to its queue bound. *)
+(** Resolved stamps the backend discarded to its queue bound
+    ({!Synts_ingest.Ingest.Pending}), on either backend. *)
 
 val stamp_quantiles : t -> float * float * float
 (** [(p50, p90, p99)] server-side batch stamping latency in

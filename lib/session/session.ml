@@ -53,15 +53,12 @@ type t = {
   last_stamp : Vector.t array;
       (* per process, its last message's stamp: the [prev] the event
          stream asks for when it resolves an internal event *)
-  resolved : (Event_stream.ticket * Internal_events.stamp) Queue.t;
-      (* oldest first, drained by the caller; bounded by [pending_cap] *)
-  pending_cap : int;
-  mutable dropped : int;
+  resolved : Synts_ingest.Ingest.Pending.t;
   mutable observed : int;
 }
 
-let make ?window ?(pending_cap = 65536) ~n stamper dimension =
-  if pending_cap < 1 then invalid_arg "Session: pending_cap must be >= 1";
+let make ?window ?(pending_cap = Synts_ingest.Ingest.Pending.default_cap) ~n
+    stamper dimension =
   {
     n;
     stamper;
@@ -71,9 +68,7 @@ let make ?window ?(pending_cap = 65536) ~n stamper dimension =
     width = Synts_poset.Incremental_width.create ();
     last_message = Array.make n (-1);
     last_stamp = Array.make n [||];
-    resolved = Queue.create ();
-    pending_cap;
-    dropped = 0;
+    resolved = Synts_ingest.Ingest.Pending.create ~cap:pending_cap m_dropped;
     observed = 0;
   }
 
@@ -121,21 +116,9 @@ let message t ~src ~dst =
   ignore (Synts_poset.Incremental_width.add t.width ~preds);
   t.last_message.(src) <- id;
   t.last_message.(dst) <- id;
-  let enqueue resolved =
-    List.iter
-      (fun r ->
-        (* Bounded: a caller that never drains loses the oldest stamps,
-           counted, instead of growing without bound. *)
-        if Queue.length t.resolved >= t.pending_cap then begin
-          ignore (Queue.pop t.resolved);
-          t.dropped <- t.dropped + 1;
-          Tm.Counter.incr m_dropped
-        end;
-        Queue.push r t.resolved)
-      resolved
-  in
   let record proc =
-    enqueue
+    List.iter
+      (Synts_ingest.Ingest.Pending.push t.resolved)
       (Event_stream.record_message t.events ~proc ~prev:t.last_stamp.(proc) v);
     t.last_stamp.(proc) <- v
   in
@@ -155,13 +138,11 @@ let internal t ~proc =
       "internal";
   Event_stream.record_internal t.events ~proc
 
-let dropped_events t = t.dropped
+let dropped_events t = Synts_ingest.Ingest.Pending.dropped t.resolved
 
 let drain_events t =
   Tm.Counter.incr m_drains;
-  let out = List.of_seq (Queue.to_seq t.resolved) in
-  Queue.clear t.resolved;
-  out
+  Synts_ingest.Ingest.Pending.drain t.resolved
 
 let finish_events t =
   Tm.Counter.incr m_flushes;

@@ -5,6 +5,8 @@ module Graph = Synts_graph.Graph
 module Topology = Synts_graph.Topology
 module Trace = Synts_sync.Trace
 module Workload = Synts_workload.Workload
+module Ingest = Synts_ingest.Ingest
+module Protocol = Synts_server.Protocol
 
 (* A deterministic Rng seeded from QCheck's random state, so shrinking and
    reproduction work through a single integer. *)
@@ -97,6 +99,87 @@ let tiny_poset : Synts_poset.Poset.t QCheck2.Gen.t =
   let* seed = rng_seed in
   let* p = float_bound_inclusive 0.6 in
   return (Synts_poset.Poset.random (Rng.create seed) n p)
+
+(* ---------- serve data-plane messages ---------- *)
+
+(* Components up to 2^61 - 1 reach the delta coder's range limits
+   (any two differ by less than 2^61) without leaving it. *)
+let stamp_vector =
+  QCheck2.Gen.(
+    array_size (int_bound 6)
+      (oneof [ int_bound 1000; int_bound ((1 lsl 61) - 1) ]))
+
+let serve_event =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun src dst -> Ingest.Message { src; dst }) (int_bound 40)
+          (int_bound 40);
+        map (fun proc -> Ingest.Internal { proc }) (int_bound 40);
+      ])
+
+let serve_request =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Protocol.Hello;
+        map2
+          (fun seq events -> Protocol.Observe { seq; events })
+          (int_bound 10000)
+          (array_size (int_bound 20) serve_event);
+        return Protocol.Drain;
+        return Protocol.Finish;
+        return Protocol.Verify;
+        return Protocol.Stats;
+        map (fun s -> Protocol.Churn s) (string_size (int_bound 30));
+        return Protocol.Shutdown;
+      ])
+
+let serve_stamp =
+  QCheck2.Gen.(
+    let* proc = int_bound 40 in
+    let* prev = stamp_vector in
+    let* succ = option stamp_vector in
+    let* counter = int_bound 100 in
+    return { Synts_core.Internal_events.proc; prev; succ; counter })
+
+let serve_response =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2
+          (fun (processes, dimension) epoch ->
+            Protocol.Welcome { processes; dimension; epoch })
+          (pair (int_bound 100) (int_bound 100))
+          (int_bound 50);
+        map
+          (fun outcomes -> Protocol.Outcomes outcomes)
+          (array_size (int_bound 20)
+             (oneof
+                [
+                  map (fun v -> Ingest.Stamped v) stamp_vector;
+                  map (fun t -> Ingest.Deferred t) (int_bound 10000);
+                ]));
+        map
+          (fun rs -> Protocol.Resolved rs)
+          (list_size (int_bound 10) (pair (int_bound 10000) serve_stamp));
+        map2
+          (fun ok checked -> Protocol.Verified { ok; checked })
+          bool (int_bound 10000);
+        map2
+          (fun (clients, batches, messages, internal) (dropped, pending) ->
+            Protocol.Stats_r
+              { clients; batches; messages; internal; dropped; pending })
+          (quad (int_bound 100) (int_bound 1000) (int_bound 1000)
+             (int_bound 1000))
+          (pair (int_bound 1000) (int_bound 1000));
+        map
+          (fun (epoch, processes, dimension) ->
+            Protocol.Epoch_r { epoch; processes; dimension })
+          (triple (int_bound 50) (int_bound 100) (int_bound 100));
+        map (fun e -> Protocol.Error_r e) (string_size (int_bound 40));
+        return Protocol.Bye;
+      ])
 
 (* ---------- hostile decoder input ---------- *)
 

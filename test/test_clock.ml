@@ -403,9 +403,9 @@ let test_wire_golden () =
   in
   check "encode" "05007f8001ac02ffffffffffffffff3f"
     (Wire.encode [| 0; 127; 128; 300; max_int |]);
-  check "epoch v0" "c1dfc79005030304008101"
-    (Wire.encode_epoch_framed ~version:0 ~epoch:3 [| 4; 0; 129 |]);
-  check "epoch v1" "d701c1dfc79005030304008101"
+  (* The frame prefix is the version byte 02; the checksum and the body
+     are those of the earlier codec. *)
+  check "epoch frame" "02c1dfc79005030304008101"
     (Wire.encode_epoch_framed ~epoch:3 [| 4; 0; 129 |]);
   check "diff" "02010503c801"
     (Wire.encode_diff ~prev:[| 1; 2; 3; 4 |] [| 1; 5; 3; 200 |])

@@ -145,13 +145,11 @@ let request_gen =
 let qfloat =
   QCheck2.Gen.(map (fun i -> float_of_int i /. 16.) (int_bound 100000))
 
-let shard_stat_gen =
+let load_gen =
   QCheck2.Gen.(
     map
-      (fun (shard, s_events, s_cells, s_messages) ->
-        { Admin.shard; s_events; s_cells; s_messages })
-      (quad (int_bound 16) (int_bound 10000) (int_bound 10000)
-         (int_bound 10000)))
+      (fun (swept, cells, stamped) -> { Admin.swept; cells; stamped })
+      (triple (int_bound 10000) (int_bound 10000) (int_bound 10000)))
 
 let conn_stat_gen =
   QCheck2.Gen.(
@@ -175,7 +173,7 @@ let stats_gen =
       (fun ( (backend, clients, batches, messages),
              (internal, dedup_hits, errors, dropped),
              (pending, p50_ms, p90_ms, p99_ms),
-             (shards, conns, stream) ) ->
+             (load, conns, stream) ) ->
         {
           Admin.backend;
           clients;
@@ -189,7 +187,7 @@ let stats_gen =
           p50_ms;
           p90_ms;
           p99_ms;
-          shards;
+          load;
           conns;
           stream;
         })
@@ -199,8 +197,7 @@ let stats_gen =
          (quad (int_bound 10000) (int_bound 100) (int_bound 100)
             (int_bound 100))
          (quad (int_bound 10000) qfloat qfloat qfloat)
-         (triple
-            (list_size (int_bound 4) shard_stat_gen)
+         (triple (option load_gen)
             (list_size (int_bound 4) conn_stat_gen)
             (option stream_stat_gen))))
 
@@ -209,10 +206,10 @@ let response_gen =
     oneof
       [
         map2
-          (fun (ok, processes, dimension) (backend, shards) ->
-            Admin.Health_r { ok; backend; processes; dimension; shards })
+          (fun (ok, processes, dimension) backend ->
+            Admin.Health_r { ok; backend; processes; dimension })
           (triple bool (int_bound 1000) (int_bound 100))
-          (pair (string_size (int_bound 12)) (int_bound 16));
+          (string_size (int_bound 12));
         map (fun s -> Admin.Metrics_r s) (string_size (int_bound 64));
         map (fun s -> Admin.Stats_r s) stats_gen;
         map2
@@ -233,101 +230,102 @@ let test_response_roundtrip =
     (Format.asprintf "%a" Admin.pp_response) (fun resp ->
       Admin.decode_response (Admin.encode_response resp) = Ok resp)
 
-(* The v0 frames the previous codec produced: the admin family keeps
-   its bytes too. *)
+(* Each admin message in its frame, checked by hand against the layout:
+   the version byte 02, the body's varint FNV-1a checksum, then the
+   body — a tag in 0x20-0x24 and the fields. *)
 let golden_admin () =
-  let check label v0 body =
-    Alcotest.(check string) (label ^ " v0") v0
-      (Gen.hex (Wire.frame ~version:0 body));
-    Alcotest.(check string) (label ^ " v1") ("d701" ^ v0)
-      (Gen.hex (Wire.frame body))
+  let check label golden body =
+    Alcotest.(check string) label golden (Gen.hex (Wire.frame body))
   in
   List.iter
-    (fun (req, v0) ->
+    (fun (req, golden) ->
       check
         (Format.asprintf "%a" Admin.pp_request req)
-        v0 (Admin.encode_request req))
+        golden (Admin.encode_request req))
     [
-      (Admin.Health, "e19f91b709ad0100");
-      (Admin.Metrics Admin.Json, "dd8c9dab04ad010101");
-      (Admin.Stats, "bb9991a709ad0102");
-      (Admin.Tracedump, "a896919f09ad0103");
+      (Admin.Health, "02ff9eb2a80220");
+      (Admin.Metrics Admin.Json, "0297d88de60a2101");
+      (Admin.Stats, "02a5a5b2b80222");
+      (Admin.Tracedump, "0292a2b2b00223");
     ];
+  let conns =
+    [
+      {
+        Admin.conn = 0;
+        events_in = 200;
+        stamps_out = 180;
+        dedup_hits = 1;
+        last_seq = -1;
+      };
+      {
+        Admin.conn = 1;
+        events_in = 120;
+        stamps_out = 120;
+        dedup_hits = 0;
+        last_seq = 9;
+      };
+    ]
+  in
+  let stats backend ~dropped ~load ~stream =
+    Admin.Stats_r
+      {
+        backend;
+        clients = 2;
+        batches = 10;
+        messages = 300;
+        internal = 20;
+        dedup_hits = 1;
+        errors = 0;
+        dropped;
+        pending = 4;
+        p50_ms = 0.25;
+        p90_ms = 1.5;
+        p99_ms = 12.75;
+        load;
+        conns;
+        stream;
+      }
+  in
   List.iter
-    (fun (resp, v0) ->
-      check (Format.asprintf "%a" Admin.pp_response resp) v0
+    (fun (resp, golden) ->
+      check (Format.asprintf "%a" Admin.pp_response resp) golden
         (Admin.encode_response resp))
     [
+      (* tag 20, ok 01, backend 06 "online", processes 8002, dimension 08 *)
       ( Admin.Health_r
-          {
-            ok = true;
-            backend = "sharded:2";
-            processes = 256;
-            dimension = 8;
-            shards = 2;
-          },
-        "98f4a2fd0cad01000109736861726465643a3280020802" );
+          { ok = true; backend = "online"; processes = 256; dimension = 8 },
+        "029fbe90b3092001066f6e6c696e65800208" );
       ( Admin.Metrics_r "server_requests 7\n",
-        "f7ee8ddf03ad0101127365727665725f726571756573747320370a" );
-      ( Admin.Stats_r
-          {
-            backend = "offline-stream";
-            clients = 2;
-            batches = 10;
-            messages = 300;
-            internal = 20;
-            dedup_hits = 1;
-            errors = 0;
-            dropped = 0;
-            pending = 4;
-            p50_ms = 0.25;
-            p90_ms = 1.5;
-            p99_ms = 12.75;
-            shards =
-              [
-                {
-                  Admin.shard = 0;
-                  s_events = 320;
-                  s_cells = 2560;
-                  s_messages = 300;
-                };
-              ];
-            conns =
-              [
-                {
-                  Admin.conn = 0;
-                  events_in = 200;
-                  stamps_out = 180;
-                  dedup_hits = 1;
-                  last_seq = -1;
-                };
-                {
-                  Admin.conn = 1;
-                  events_in = 120;
-                  stamps_out = 120;
-                  dedup_hits = 0;
-                  last_seq = 9;
-                };
-              ];
-            stream =
-              Some
-                {
-                  Admin.chains = 3;
-                  live = 40;
-                  retired = 260;
-                  width = 3;
-                  exact = true;
-                  repairs = 2;
-                };
-          },
-        "f2fbd5c209ad01020e6f66666c696e652d73747265616d020aac02140100"
-        ^ "00043fd00000000000003ff80000000000004029800000000000010"
-        ^ "0c0028014ac020200c801b4010100017878000a0103288402030102" );
+        "02c586bbcd0921127365727665725f726571756573747320370a" );
+      (* ... the three quantiles, then load 01 c002 8014 ac02, the two
+         connection rows, stream 00. *)
+      ( stats "online" ~dropped:0
+          ~load:(Some { Admin.swept = 320; cells = 2560; stamped = 300 })
+          ~stream:None,
+        "02b9b5dc850922066f6e6c696e65020aac0214010000043fd0000000000000"
+        ^ "3ff8000000000000402980000000000001c0028014ac020200c801b40101"
+        ^ "00017878000a00" );
+      (* ... load 00, the two connection rows, stream 01 and its six
+         fields. *)
+      ( stats "offline-stream" ~dropped:3 ~load:None
+          ~stream:
+            (Some
+               {
+                 Admin.chains = 3;
+                 live = 40;
+                 retired = 260;
+                 width = 3;
+                 exact = true;
+                 repairs = 2;
+               }),
+        "02eac280860a220e6f66666c696e652d73747265616d020aac0214010003043f"
+        ^ "d00000000000003ff80000000000004029800000000000000200c801b40101"
+        ^ "00017878000a0103288402030102" );
       ( Admin.Tracedump_r { dropped = 0; spans = 1; jsonl = "{}\n" },
-        "c28cbc8404ad01030001037b7d0a" );
+        "02a8fbf76f230001037b7d0a" );
       ( Admin.Error_r "unknown admin request tag 9",
-        "d1a3e5a60ead01041b756e6b6e6f776e2061646d696e20726571756573"
-        ^ "74207461672039" );
+        "02ab8c8f940d241b756e6b6e6f776e2061646d696e20726571756573742074"
+        ^ "61672039" );
     ]
 
 (* String lengths and list counts read from the wire are bounded by the
@@ -339,10 +337,10 @@ let test_admin_oversized () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s decoded" name)
     [
-      ("metrics max_int bytes", "\xad\x01\x01" ^ Gen.varint max_int ^ "x");
-      ("error 2^60 bytes", "\xad\x01\x04" ^ Gen.varint (1 lsl 60) ^ "x");
-      ( "stats 2^60 shards",
-        "\xad\x01\x02\x00" ^ String.make 8 '\x00' ^ String.make 24 '\x00'
+      ("metrics max_int bytes", "\x21" ^ Gen.varint max_int ^ "x");
+      ("error 2^60 bytes", "\x24" ^ Gen.varint (1 lsl 60) ^ "x");
+      ( "stats 2^60 conns",
+        "\x22\x00" ^ String.make 8 '\x00' ^ String.make 24 '\x00' ^ "\x00"
         ^ Gen.varint (1 lsl 60) );
     ]
 
@@ -360,22 +358,31 @@ let test_admin_response_total =
     (Gen.total_decoder Admin.decode_response (fun s r ->
          Admin.encode_response r = s))
 
-(* The family header: data-plane bodies and future family versions are
-   rejected with a decode error, not misparsed. *)
-let test_family_rejection () =
-  (match Admin.decode_request (Protocol.encode_request Protocol.Stats) with
-  | Error _ -> ()
-  | Ok r ->
-      Alcotest.fail
-        (Format.asprintf "data-plane body decoded as %a" Admin.pp_request r));
-  let future =
-    let b = Bytes.of_string (Admin.encode_request Admin.Health) in
-    Bytes.set b 1 (Char.chr (Admin.current_version + 1));
-    Bytes.to_string b
-  in
-  match Admin.decode_request future with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "future version accepted"
+(* One tag byte names both the plane and the verb: admin tags start at
+   0x20, past the data plane's 0-9, so each plane's decoders refuse
+   every body of the other plane. *)
+let plane_body_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun r -> `Data (Protocol.encode_request r)) Gen.serve_request;
+        map (fun r -> `Data (Protocol.encode_response r)) Gen.serve_response;
+        map (fun r -> `Admin (Admin.encode_request r)) request_gen;
+        map (fun r -> `Admin (Admin.encode_response r)) response_gen;
+      ])
+
+let test_planes_refuse_each_other =
+  qtest ~count:500 "planes refuse each other's bodies" plane_body_gen
+    (function
+      | `Data body -> "data " ^ Gen.hex body
+      | `Admin body -> "admin " ^ Gen.hex body)
+    (function
+      | `Data body ->
+          Result.is_error (Admin.decode_request body)
+          && Result.is_error (Admin.decode_response body)
+      | `Admin body ->
+          Result.is_error (Protocol.decode_request body)
+          && Result.is_error (Protocol.decode_response body))
 
 (* ---------- the engine registry ---------- *)
 
@@ -495,8 +502,7 @@ let () =
         [
           test_request_roundtrip;
           test_response_roundtrip;
-          Alcotest.test_case "family header rejection" `Quick
-            test_family_rejection;
+          test_planes_refuse_each_other;
           Alcotest.test_case "golden frames" `Quick golden_admin;
           Alcotest.test_case "oversized lengths rejected" `Quick
             test_admin_oversized;

@@ -11,6 +11,8 @@ module Protocol = Synts_server.Protocol
 module Service = Synts_server.Service
 module Server = Synts_server.Server
 module Client = Synts_server.Client
+module Admin_client = Synts_server.Admin_client
+module Admin = Synts_obs.Admin
 module Frame = Synts_server.Frame
 module Session = Synts_session.Session
 module Injector = Synts_fault.Injector
@@ -89,84 +91,8 @@ let test_engine_batch_split_invariant =
 
 (* ---------- protocol codec ---------- *)
 
-(* Components up to 2^61 - 1 reach the delta coder's range limits
-   (any two differ by less than 2^61) without leaving it. *)
-let vector_gen =
-  QCheck2.Gen.(
-    array_size (int_bound 6)
-      (oneof [ int_bound 1000; int_bound ((1 lsl 61) - 1) ]))
-
-let event_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map2 (fun src dst -> Ingest.Message { src; dst }) (int_bound 40)
-          (int_bound 40);
-        map (fun proc -> Ingest.Internal { proc }) (int_bound 40);
-      ])
-
-let request_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        return Protocol.Hello;
-        map2
-          (fun seq events -> Protocol.Observe { seq; events })
-          (int_bound 10000)
-          (array_size (int_bound 20) event_gen);
-        return Protocol.Drain;
-        return Protocol.Finish;
-        return Protocol.Verify;
-        return Protocol.Stats;
-        map (fun s -> Protocol.Churn s) (string_size (int_bound 30));
-        return Protocol.Shutdown;
-      ])
-
-let stamp_gen =
-  QCheck2.Gen.(
-    let* proc = int_bound 40 in
-    let* prev = vector_gen in
-    let* succ = option vector_gen in
-    let* counter = int_bound 100 in
-    return { Synts_core.Internal_events.proc; prev; succ; counter })
-
-let response_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map2
-          (fun (processes, dimension, shards) epoch ->
-            Protocol.Welcome { processes; dimension; shards; epoch })
-          (triple (int_bound 100) (int_bound 100) (int_bound 16))
-          (int_bound 50);
-        map
-          (fun outcomes -> Protocol.Outcomes outcomes)
-          (array_size (int_bound 20)
-             (oneof
-                [
-                  map (fun v -> Ingest.Stamped v) vector_gen;
-                  map (fun t -> Ingest.Deferred t) (int_bound 10000);
-                ]));
-        map
-          (fun rs -> Protocol.Resolved rs)
-          (list_size (int_bound 10) (pair (int_bound 10000) stamp_gen));
-        map2
-          (fun ok checked -> Protocol.Verified { ok; checked })
-          bool (int_bound 10000);
-        map2
-          (fun (clients, batches, messages, internal) (dropped, pending) ->
-            Protocol.Stats_r
-              { clients; batches; messages; internal; dropped; pending })
-          (quad (int_bound 100) (int_bound 1000) (int_bound 1000)
-             (int_bound 1000))
-          (pair (int_bound 1000) (int_bound 1000));
-        map
-          (fun (epoch, processes, dimension) ->
-            Protocol.Epoch_r { epoch; processes; dimension })
-          (triple (int_bound 50) (int_bound 100) (int_bound 100));
-        map (fun e -> Protocol.Error_r e) (string_size (int_bound 40));
-        return Protocol.Bye;
-      ])
+let request_gen = Gen.serve_request
+let response_gen = Gen.serve_response
 
 let test_request_roundtrip =
   qtest ~count:200 "request codec roundtrips" request_gen
@@ -182,47 +108,43 @@ let test_response_roundtrip =
 
 let test_wire_versioning () =
   let body = "stamping bytes" in
-  let v1 = Wire.frame body in
-  Alcotest.(check char) "magic first" Wire.magic v1.[0];
-  Alcotest.(check int) "announces v1" Wire.current_version
-    (Wire.frame_version v1);
-  Alcotest.(check (result string string)) "v1 unframes" (Ok body)
-    (Wire.unframe v1);
-  let v0 = Wire.frame ~version:0 body in
-  Alcotest.(check int) "legacy announces 0" 0 (Wire.frame_version v0);
-  Alcotest.(check (result string string)) "v0 still decodes" (Ok body)
-    (Wire.unframe v0);
-  (* A frame from the future is turned away with a clear error, not a
-     checksum complaint. *)
-  let future = Bytes.of_string v1 in
-  Bytes.set future 1 '\x07';
-  (match Wire.unframe (Bytes.to_string future) with
-  | Error e ->
-      Alcotest.(check bool) "names the version" true
-        (contains ~sub:"unsupported wire version 7" e)
-  | Ok _ -> Alcotest.fail "future version accepted");
-  match Wire.frame ~version:3 body with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown version framed"
+  let frame = Wire.frame body in
+  Alcotest.(check int) "version byte first" Wire.current_version
+    (Char.code frame.[0]);
+  Alcotest.(check (result string string)) "unframes" (Ok body)
+    (Wire.unframe frame);
+  (* Frames of other layouts are turned away with an error naming their
+     version, not a checksum complaint: the earlier magic-byte layout
+     ([d7 01], version 0xd7 to this build) and a future version 3. *)
+  let refuses name version bad =
+    match Wire.unframe bad with
+    | Error e ->
+        Alcotest.(check bool) (name ^ " names the version") true
+          (contains ~sub:(Printf.sprintf "unsupported wire version %d" version)
+             e)
+    | Ok _ -> Alcotest.failf "%s accepted" name
+  in
+  let rest = String.sub frame 1 (String.length frame - 1) in
+  refuses "d7 01 layout" 0xd7 ("\xd7\x01" ^ rest);
+  refuses "version 3" 3 ("\x03" ^ rest)
 
 let test_wire_versioned_vectors () =
   let v = [| 3; 0; 7; 12 |] in
-  Alcotest.(check bool) "v1 vector roundtrip" true
-    (Wire.decode_framed (Wire.encode_framed v) = Ok v);
-  Alcotest.(check bool) "v0 vector roundtrip" true
-    (Wire.decode_framed (Wire.encode_framed ~version:0 v) = Ok v)
+  Alcotest.(check bool) "vector roundtrip" true
+    (Wire.decode_framed (Wire.encode_framed v) = Ok v)
 
 (* ---------- byte identity and decoder totality ---------- *)
 
-(* One of each request and response, with the v0 and v1 frames the
-   previous codec produced for them: recorded v0 traffic and clients
-   built from older trees must keep interoperating byte for byte. The
-   [Outcomes] and [Resolved] frames are the exception: they were
-   re-recorded when those replies moved to delta-coded stamps under
-   tags 8 and 9. *)
+(* One of each request and response in its frame: the version byte 02,
+   the body's varint FNV-1a checksum, then the body. Only the frame
+   prefix moved when the envelope lost its magic byte ([d7 01] became
+   [02]); checksums and bodies are those of the earlier codec, except
+   [Welcome], which lost its [shards] field, and the [Outcomes] and
+   [Resolved] replies, re-recorded when they moved to delta-coded stamps
+   under tags 8 and 9. *)
 let golden_requests =
   [
-    (Protocol.Hello, "9fbab12800");
+    (Protocol.Hello, "029fbab12800");
     ( Protocol.Observe
         {
           seq = 300;
@@ -232,24 +154,25 @@ let golden_requests =
               Ingest.Internal { proc = 7 };
             |];
         },
-      "b099d4eb0601ac0202000382010107" );
-    (Protocol.Drain, "c5c0b13802");
-    (Protocol.Finish, "b2bdb13003");
-    (Protocol.Verify, "d3adb10804");
-    (Protocol.Stats, "c0aa3105");
+      "02b099d4eb0601ac0202000382010107" );
+    (Protocol.Drain, "02c5c0b13802");
+    (Protocol.Finish, "02b2bdb13003");
+    (Protocol.Verify, "02d3adb10804");
+    (Protocol.Stats, "02c0aa3105");
     ( Protocol.Churn "join:4:4-0,4-2",
-      "d6e1d5df0c070e6a6f696e3a343a342d302c342d32" );
-    (Protocol.Shutdown, "f9b3b11806");
+      "02d6e1d5df0c070e6a6f696e3a343a342d302c342d32" );
+    (Protocol.Shutdown, "02f9b3b11806");
   ]
 
 let golden_responses =
   [
-    ( Protocol.Welcome
-        { processes = 256; dimension = 8; shards = 2; epoch = 1 },
-      "82ade5f902008002080201" );
+    (* version 02, checksum cad4a7a707, tag 00, processes 256 (8002),
+       dimension 8, epoch 1. *)
+    ( Protocol.Welcome { processes = 256; dimension = 8; epoch = 1 },
+      "02cad4a7a7070080020801" );
     ( Protocol.Outcomes
         [| Ingest.Stamped [| 0; 1; 127; 128; 16384 |]; Ingest.Deferred 5 |],
-      "d4e4e883040802000500017f80018080010105" );
+      "02d4e4e883040802000500017f80018080010105" );
     (* Later stamps widen, narrow and step down: deltas against the
        stamp before, a shorter one read as zero-padded. *)
     ( Protocol.Outcomes
@@ -259,7 +182,7 @@ let golden_responses =
           Ingest.Stamped [| 2; 200; 1 |];
           Ingest.Stamped [| 2 |];
         |],
-      "dcfcd9f80c0804000203c80101070003010002000100" );
+      "02dcfcd9f80c0804000203c80101070003010002000100" );
     ( Protocol.Resolved
         [
           ( 5,
@@ -277,8 +200,8 @@ let golden_responses =
               counter = 0;
             } );
         ],
-      "96a79fc90d09020502020102010204d4040106000205d7040000" );
-    (Protocol.Verified { ok = true; checked = 42 }, "d99ce9cc0c03012a");
+      "0296a79fc90d09020502020102010204d4040106000205d7040000" );
+    (Protocol.Verified { ok = true; checked = 42 }, "02d99ce9cc0c03012a");
     ( Protocol.Stats_r
         {
           clients = 3;
@@ -288,25 +211,22 @@ let golden_responses =
           dropped = 0;
           pending = 12;
         },
-      "b8d3eac2070403e80780f403d836000c" );
+      "02b8d3eac2070403e80780f403d836000c" );
     ( Protocol.Epoch_r { epoch = 2; processes = 5; dimension = 3 },
-      "d8baf1c10607020503" );
+      "02d8baf1c10607020503" );
     ( Protocol.Error_r "sequence gap: got 5, expected 3",
-      "96cbab8302051f73657175656e6365206761703a20676f7420352c20"
+      "0296cbab8302051f73657175656e6365206761703a20676f7420352c20"
       ^ "65787065637465642033" );
-    (Protocol.Bye, "f9b3b11806");
+    (Protocol.Bye, "02f9b3b11806");
   ]
 
-let check_golden name encode decode pp (msg, v0) =
-  let body = encode msg in
+let check_golden name encode decode pp (msg, golden) =
+  let frame = Wire.frame (encode msg) in
   let label = Format.asprintf "%s %a" name pp msg in
-  Alcotest.(check string) (label ^ " v0") v0
-    (Gen.hex (Wire.frame ~version:0 body));
-  Alcotest.(check string) (label ^ " v1") ("d701" ^ v0)
-    (Gen.hex (Wire.frame body));
-  match Result.bind (Wire.unframe (Wire.frame ~version:0 body)) decode with
+  Alcotest.(check string) label golden (Gen.hex frame);
+  match Result.bind (Wire.unframe frame) decode with
   | Ok m when m = msg -> ()
-  | _ -> Alcotest.failf "%s: golden v0 frame does not decode back" label
+  | _ -> Alcotest.failf "%s: golden frame does not decode back" label
 
 let test_golden_frames () =
   List.iter
@@ -475,9 +395,7 @@ let test_decode_response_total =
 
 let framed_gen =
   QCheck2.Gen.(
-    map2
-      (fun version body -> Wire.frame ~version body)
-      (oneofl [ 0; 1 ])
+    map Wire.frame
       (oneof
          [
            map Protocol.encode_request request_gen;
@@ -487,8 +405,7 @@ let framed_gen =
 let test_unframe_total =
   qtest ~count:1000 "unframe is total and canonical" (Gen.hostile framed_gen)
     Gen.hex
-    (Gen.total_decoder Wire.unframe (fun s body ->
-         s = Wire.frame ~version:0 body || s = Wire.frame body))
+    (Gen.total_decoder Wire.unframe (fun s body -> s = Wire.frame body))
 
 (* One long-lived service fed junk: raw bytes that fail the checksum, and
    checksummed junk bodies that reach the decoder and the service. Every
@@ -812,6 +729,44 @@ let test_service_offline_widening () =
           Alcotest.(check int) "pairs checked" 3 checked
       | r -> Alcotest.failf "verify answered %a" Protocol.pp_response r)
 
+(* Both backends bound their resolved-stamp queue alike: 70,000
+   internal events on process 0, resolved by one message and never
+   drained, leave the newest 65,536 queued and count the rest as
+   dropped, and Finish returns the queued ones in ticket order. *)
+let test_service_queue_bounded () =
+  let d = Decomposition.best (Topology.path 2) in
+  List.iter
+    (fun offline ->
+      let name = if offline then "offline" else "online" in
+      let service = Service.create ~offline d in
+      Fun.protect
+        ~finally:(fun () -> Service.stop service)
+        (fun () ->
+          let conn = Service.attach service in
+          let events =
+            Array.append
+              (Array.make 70_000 (Ingest.Internal { proc = 0 }))
+              [| Ingest.Message { src = 0; dst = 1 } |]
+          in
+          (match
+             Service.handle service conn (Protocol.Observe { seq = 0; events })
+           with
+          | Protocol.Outcomes _ -> ()
+          | r -> Alcotest.failf "%s observe: %a" name Protocol.pp_response r);
+          (match Service.handle service conn Protocol.Stats with
+          | Protocol.Stats_r { pending; dropped; _ } ->
+              Alcotest.(check int) (name ^ " pending") 65_536 pending;
+              Alcotest.(check int) (name ^ " dropped") 4_464 dropped
+          | r -> Alcotest.failf "%s stats: %a" name Protocol.pp_response r);
+          match Service.handle service conn Protocol.Finish with
+          | Protocol.Resolved resolved ->
+              Alcotest.(check (list int))
+                (name ^ " tickets kept")
+                (List.init 65_536 (fun i -> 4_464 + i))
+                (List.map fst resolved)
+          | r -> Alcotest.failf "%s finish: %a" name Protocol.pp_response r))
+    [ false; true ]
+
 (* ---------- service: churn / engine resharding ---------- *)
 
 (* One scripted epoch crossing: the engine is retired and rebuilt, yet
@@ -984,7 +939,6 @@ let test_socket_roundtrip () =
     (fun () ->
       Alcotest.(check int) "welcome n" (Decomposition.graph_vertices d)
         (Client.processes clients.(0));
-      Alcotest.(check int) "welcome shards" 1 (Client.shards clients.(0));
       let events = events_of_trace trace in
       let total = Array.length events in
       (* Interleave the stream across the three clients batch by batch;
@@ -1070,6 +1024,129 @@ let test_socket_fd_cap () =
       | _ -> Alcotest.fail "the daemon stopped stamping");
       Client.shutdown c;
       Server.join handle)
+
+(* An in-process daemon with its admin plane, both on Unix sockets in a
+   fresh directory, for the duration of [f data admin]; shut down
+   after. *)
+let with_admin_daemon f =
+  let dir = Filename.temp_dir "synts-serve" "" in
+  let data = Server.Unix_socket (Filename.concat dir "serve.sock") in
+  let admin = Server.Unix_socket (Filename.concat dir "admin.sock") in
+  let handle =
+    Server.spawn ~admin data (Decomposition.best (Topology.ring 4))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.shutdown (Client.connect data);
+      Server.join handle;
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f data admin)
+
+(* One hand-made frame on a raw connection, and its reply's body
+   decoded by [decode]. *)
+let send_raw fd frame decode =
+  Frame.send fd frame;
+  match Frame.recv fd with
+  | `Eof -> Alcotest.fail "the daemon closed the connection"
+  | `Frame reply -> Result.bind (Wire.unframe reply) decode
+
+let with_fd address f =
+  let fd = Server.connect address in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+(* One envelope, two planes: a body sent to the other plane's socket is
+   refused with that plane's [Error_r], and the connection goes on. *)
+let test_socket_plane_split () =
+  with_admin_daemon (fun data admin ->
+      let admin_health = Wire.frame (Admin.encode_request Admin.Health) in
+      let hello = Wire.frame (Protocol.encode_request Protocol.Hello) in
+      with_fd data (fun fd ->
+          (match send_raw fd admin_health Protocol.decode_response with
+          | Ok (Protocol.Error_r _) -> ()
+          | _ -> Alcotest.fail "admin frame on the data socket not refused");
+          match send_raw fd hello Protocol.decode_response with
+          | Ok (Protocol.Welcome _) -> ()
+          | _ -> Alcotest.fail "no Welcome after the refusal");
+      with_fd admin (fun fd ->
+          (match send_raw fd hello Admin.decode_response with
+          | Ok (Admin.Error_r _) -> ()
+          | _ -> Alcotest.fail "data frame on the admin socket not refused");
+          match send_raw fd admin_health Admin.decode_response with
+          | Ok (Admin.Health_r { ok = true; _ }) -> ()
+          | _ -> Alcotest.fail "health unanswered after the refusal"))
+
+(* A counter's value in the admin plane's Prometheus rendering. *)
+let prom_counter text name =
+  let key = String.map (function '.' -> '_' | c -> c) name ^ " " in
+  match
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix:key line then
+          int_of_string_opt
+            (String.sub line (String.length key)
+               (String.length line - String.length key))
+        else None)
+      (String.split_on_char '\n' text)
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "%s missing from admin metrics" name
+
+(* A refused frame is counted by why [unframe] or the decoder refused
+   it, and a closed connection by why the loop closed it. *)
+let test_socket_refusal_causes () =
+  with_admin_daemon (fun data admin ->
+      let a = Admin_client.connect admin in
+      Fun.protect
+        ~finally:(fun () -> Admin_client.close a)
+        (fun () ->
+          let names =
+            [
+              "server.bad_frames";
+              "server.bad_requests";
+              "server.closed.eof";
+              "server.closed.oversized";
+              "server.closed.error";
+            ]
+          in
+          let counters () =
+            let prom = Admin_client.metrics a Admin.Prom in
+            List.map (prom_counter prom) names
+          in
+          let before = counters () in
+          let refused name fd frame =
+            match send_raw fd frame Protocol.decode_response with
+            | Ok (Protocol.Error_r _) -> ()
+            | _ -> Alcotest.failf "%s got no Error_r" name
+          in
+          let fd = Server.connect data in
+          let bad_checksum =
+            Bytes.of_string
+              (Wire.frame (Protocol.encode_request Protocol.Hello))
+          in
+          let last = Bytes.length bad_checksum - 1 in
+          Bytes.set bad_checksum last
+            (Char.chr (Char.code (Bytes.get bad_checksum last) lxor 1));
+          refused "bad checksum" fd (Bytes.to_string bad_checksum);
+          refused "undecodable body" fd (Wire.frame "\xff");
+          Unix.close fd;
+          with_fd data (fun fd ->
+              ignore (Unix.write fd (Bytes.make 4 '\xff') 0 4 : int);
+              match Frame.recv fd with
+              | `Eof -> ()
+              | `Frame _ -> Alcotest.fail "oversized prefix answered"
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ());
+          (* The daemon reads a close no later than a request sent after
+             it on another connection, so after this round trip the
+             metrics below include the close above. *)
+          let c = Client.connect data in
+          let after = counters () in
+          Client.close c;
+          List.iteri
+            (fun i name ->
+              Alcotest.(check int) name
+                (if name = "server.closed.error" then 0 else 1)
+                (List.nth after i - List.nth before i))
+            names))
 
 (* ---------- the row path ≡ the reference encoder ---------- *)
 
@@ -1420,6 +1497,8 @@ let () =
           test_service_offline_byte_path;
           Alcotest.test_case "offline stamps widen mid-reply" `Quick
             test_service_offline_widening;
+          Alcotest.test_case "resolved queue is bounded on both backends"
+            `Quick test_service_queue_bounded;
         ] );
       ( "churn",
         [
@@ -1432,5 +1511,9 @@ let () =
           Alcotest.test_case "daemon round trip" `Quick test_socket_roundtrip;
           Alcotest.test_case "in-process daemon refuses past its fd cap" `Quick
             test_socket_fd_cap;
+          Alcotest.test_case "each plane refuses the other's frames" `Quick
+            test_socket_plane_split;
+          Alcotest.test_case "refusals and closes are counted by cause" `Quick
+            test_socket_refusal_causes;
         ] );
     ]
