@@ -529,6 +529,44 @@ let model_explore_tests =
         (Staged.stage (explore ~dpor:true faulty));
     ]
 
+(* The input [synts serve --offline] sees under servebench's offline-cs
+   workload, fed to the sink in process: cs:8x248, window 1024,
+   32-event batches in which each event is internal with probability
+   0.1 and otherwise a message on a uniform channel and direction. One
+   run is what the daemon does between two drains: 64
+   [Offline_sink.observe_batch] calls, then [Offline_sink.drain]. The
+   sink is built, and fed 2^18 events, before the row is timed, so runs
+   see a full window and a settled chain count, and then cycle through
+   the same batches. *)
+let offline_sink_batches () =
+  let module Ingest = Synts_ingest.Ingest in
+  let module Offline_sink = Synts_ingest.Offline_sink in
+  let g = Topology.client_server ~servers:8 ~clients:248 in
+  let n = Graph.n g in
+  let edges = Array.of_list (Graph.edges g) in
+  let rng = Rng.create seed in
+  let event () =
+    if Rng.chance rng 0.1 then Ingest.Internal { proc = Rng.int rng n }
+    else
+      let u, v = Rng.pick_array rng edges in
+      if Rng.bool rng then Ingest.Message { src = u; dst = v }
+      else Ingest.Message { src = v; dst = u }
+  in
+  let batches = Array.init 8192 (fun _ -> Array.init 32 (fun _ -> event ())) in
+  let sink = Offline_sink.create ~window:1024 ~n () in
+  let next = ref 0 in
+  let run () =
+    for _ = 1 to 64 do
+      ignore (Offline_sink.observe_batch sink batches.(!next));
+      next := (!next + 1) mod 8192
+    done;
+    ignore (Offline_sink.drain sink)
+  in
+  for _ = 1 to 128 do
+    run ()
+  done;
+  run
+
 (* B19: the streaming offline pipeline vs the batch Figure 9 path. The
    batch row is only feasible at small message counts (its closure bits
    and realizer are O(M²)); the stream rows scale the same one-pass
@@ -536,7 +574,8 @@ let model_explore_tests =
    window — the minor-words column is the bounded-memory claim, the
    ns column the throughput crossover recorded in EXPERIMENTS.md.
    Traces are generated lazily so the 100k workload is only built when
-   this group is measured. *)
+   this group is measured; the sink row's input and warm-up
+   ([offline_sink_batches]) are built just before it is timed. *)
 let offline_stream_tests =
   let g = Topology.client_server ~servers:4 ~clients:60 in
   let small = lazy (trace_of g 1200) in
@@ -550,6 +589,9 @@ let offline_stream_tests =
       Test.make ~name:"stream-1200" (Staged.stage (stream small));
       Test.make ~name:"stream-12k" (Staged.stage (stream mid));
       Test.make ~name:"stream-100k" (Staged.stage (stream big));
+      Test.make_with_resource ~name:"sink-cs:8x248-64x32ev" Test.uniq
+        ~allocate:offline_sink_batches ~free:ignore
+        (Staged.stage (fun run -> run ()));
     ]
 
 (* B20: observability overhead — the daemon's request path (per-batch

@@ -697,7 +697,12 @@ let serve_cmd =
   in
   let run seed topo address check offline window admin metrics =
     let g = realize_topology seed topo in
-    let d = Decomposition.best g in
+    (* The offline backend reads only the process count, so it gets the
+       empty decomposition over the same processes, not a Fig. 7 run. *)
+    let d =
+      if offline then Decomposition.make_exn (Graph.empty (Graph.n g)) []
+      else Decomposition.best g
+    in
     if offline then
       Format.printf "synts serve: %s (N=%d) on %a, offline stream (window %d)%s@."
         (topo_to_string topo)

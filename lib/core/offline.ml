@@ -65,26 +65,29 @@ let dimension_used trace =
 module Streaming_chains = Synts_poset.Streaming_chains
 
 module Stream = struct
+  (* A message's immediate predecessors are the last messages at its two
+     endpoints, so per process the stream keeps that message's stamp and
+     chain — the handle {!Streaming_chains.pred} takes. *)
   type t = {
     chains : Streaming_chains.t;
     n : int;
-    last : Vector.t option array;  (* per process, last message stamp *)
+    last : Vector.t array;  (* per process, last message stamp *)
+    last_chain : int array;  (* and its chain; -1 before the first *)
     mutable messages : int;
-    mutable peak_live_words : int;
   }
 
   let create ?window ~n () =
     if n < 1 then invalid_arg "Offline.Stream.create: n must be >= 1";
-    let chains = Streaming_chains.create ?window () in
     {
-      chains;
+      chains = Streaming_chains.create ?window ();
       n;
-      last = Array.make n None;
+      last = Array.make n [||];
+      last_chain = Array.make n (-1);
       messages = 0;
-      peak_live_words = Streaming_chains.live_words chains;
     }
 
   let processes t = t.n
+  let last t p = t.last.(p)
   let messages t = t.messages
   let dimension t = max 1 (Streaming_chains.chains t.chains)
   let width t = Streaming_chains.width t.chains
@@ -92,11 +95,13 @@ module Stream = struct
   let live t = Streaming_chains.live t.chains
   let retired t = Streaming_chains.retired t.chains
   let repairs t = Streaming_chains.repairs t.chains
+  let last_info t = Streaming_chains.last_info t.chains
 
   let live_words t =
     Streaming_chains.live_words t.chains + (2 * (t.n + 1)) + 8
 
-  let peak_live_words t = max t.peak_live_words (live_words t)
+  (* [Streaming_chains.live_words] never decreases. *)
+  let peak_live_words = live_words
 
   (* Each observe lands as up to four spans on the pipeline clock —
      insert (chain placement), repair (the augmenting search, when the
@@ -117,21 +122,23 @@ module Stream = struct
     span "retire" (float_of_int info.Streaming_chains.retired);
     span "emit" dim
 
+  (* Name process [p]'s last message as a predecessor of the next. *)
+  let name_last t p =
+    let chain = t.last_chain.(p) in
+    if chain >= 0 then Streaming_chains.pred t.chains t.last.(p) ~chain
+
   let observe t ~src ~dst =
     if src < 0 || src >= t.n || dst < 0 || dst >= t.n || src = dst then
       invalid_arg "Offline.Stream.observe: bad channel";
-    let preds =
-      match (t.last.(src), t.last.(dst)) with
-      | Some a, Some b -> [ a; b ]
-      | Some a, None | None, Some a -> [ a ]
-      | None, None -> []
-    in
-    let v = Streaming_chains.insert t.chains ~preds in
-    t.last.(src) <- Some v;
-    t.last.(dst) <- Some v;
+    name_last t src;
+    name_last t dst;
+    let v = Streaming_chains.insert t.chains in
+    let chain = Streaming_chains.last_chain t.chains in
+    t.last.(src) <- v;
+    t.last.(dst) <- v;
+    t.last_chain.(src) <- chain;
+    t.last_chain.(dst) <- chain;
     t.messages <- t.messages + 1;
-    let words = live_words t in
-    if words > t.peak_live_words then t.peak_live_words <- words;
     if Tracer.enabled () then
       trace_phases t (Streaming_chains.last_info t.chains);
     v

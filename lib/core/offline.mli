@@ -45,15 +45,22 @@ module Stream : sig
       {!Synts_poset.Streaming_chains.create}. *)
 
   val observe : t -> src:int -> dst:int -> Synts_clock.Vector.t
-  (** Stamp the next message of the linearization: O(chains ·
-      window/word) words to build its ancestor row and find a direct
-      match, plus, when no ancestor is a free matching tail, one
-      augmenting search of O(visited rows · window/word) words. The
-      returned stamp is final. Raises [Invalid_argument] on a bad
+  (** Stamp the next message of the linearization. Its immediate
+      predecessors are the last messages at [src] and [dst], so its
+      ancestor row is the union of their two rows, O(window/word) words
+      (O(chains · window/word) when one of them has left the live
+      window), and a direct match is one more such pass; when no
+      ancestor is a free matching tail, one augmenting search of
+      O(visited rows · window/word) words follows. Allocates only the
+      returned stamp, which is final. Raises [Invalid_argument] on a bad
       channel. *)
 
   val processes : t -> int
   val messages : t -> int
+
+  val last : t -> int -> Synts_clock.Vector.t
+  (** [last t p] is the stamp of process [p]'s last message, the [prev]
+      of its next internal events; empty before its first message. *)
 
   val dimension : t -> int
   (** Current stamp width (grows as chains open; ≥ 1). *)
@@ -73,11 +80,17 @@ module Stream : sig
   val repairs : t -> int
   (** Insertions that ran the full augmenting-path repair. *)
 
+  val last_info : t -> Synts_poset.Streaming_chains.info
+  (** Attribution of the most recent {!observe}: chain, whether it
+      opened one, matching growth, repair-search visits and slots
+      retired. *)
+
   val live_words : t -> int
   (** Estimated heap words held live — bounded by the window, independent
       of {!messages}. *)
 
   val peak_live_words : t -> int
+  (** {!live_words} never decreases, so this is its current value. *)
 
   val precedes : t -> Synts_clock.Vector.t -> Synts_clock.Vector.t -> bool
   val concurrent : t -> Synts_clock.Vector.t -> Synts_clock.Vector.t -> bool

@@ -35,6 +35,10 @@ val dropped : t -> int
 
 val observe : t -> Ingest.event -> Ingest.outcome
 val observe_batch : t -> Ingest.event array -> Ingest.outcome array
+(** Both raise [Invalid_argument] on a message whose endpoints are equal
+    or out of range, or an internal event on an unknown process; a
+    batch is checked whole before its first event is stamped, so a
+    rejected batch changes nothing. *)
 
 val drain : t -> Ingest.resolved list
 val finish : t -> Ingest.resolved list

@@ -64,14 +64,14 @@ let maximum_rows ~left ~right ~iter ~find =
   done;
   { pair_left; pair_right; size = !size }
 
-(* One Kuhn augmenting search from right vertex [r], shared by the
-   incremental maintainers (Incremental_width, Streaming_chains): adding a
-   single right vertex grows the maximum matching by at most one, so one
-   search restores maximality. [find r f] presents [r]'s not-yet-visited
-   left neighbours [u] in increasing order, marking each visited before
-   calling [f r u], and stops at the first acceptance; visited
-   bookkeeping stays with the caller so the kernel works over int sets,
-   bitsets, or epoch arrays alike. [f] takes the row's right vertex as an
+(* One Kuhn augmenting search from right vertex [r], for the incremental
+   maintainers (Incremental_width; Streaming_chains runs it in loop
+   form): adding a single right vertex grows the maximum matching by at
+   most one, so one search restores maximality. [find r f] presents
+   [r]'s not-yet-visited left neighbours [u] in increasing order,
+   marking each visited before calling [f r u], and stops at the first
+   acceptance; visited bookkeeping stays with the caller so the kernel
+   works over int sets, bitsets, or epoch arrays alike. [f] takes the row's right vertex as an
    argument, so the search builds one closure per call and none per
    row. A left vertex whose [pair_left] is negative-but-not-free (the
    streaming structure marks partners of retired elements with [-2]) is

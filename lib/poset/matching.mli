@@ -37,9 +37,9 @@ val augment_from :
     augmenting-path search from right vertex [r] and applies it in place;
     true iff the matching grew. When elements arrive in linear-extension
     order, adding one right vertex grows the maximum matching by at most
-    one, so a single search restores maximality — the incremental
-    maintainers ({!Incremental_width}, {!Streaming_chains}) call this once
-    per insertion. [find r f] must present [r]'s {e not-yet-visited} left
+    one, so a single search restores maximality — {!Incremental_width}
+    calls this once per insertion, and {!Streaming_chains} runs the same
+    search in loop form. [find r f] must present [r]'s {e not-yet-visited} left
     neighbours [u] in increasing order, marking each visited before
     calling [f r u], and stop at the first acceptance (the caller owns
     the visited set; it must be fresh per call). Because [f] receives

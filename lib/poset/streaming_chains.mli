@@ -22,28 +22,40 @@
     consulted. By the prefix property this is exact, final at emission,
     and {e order-equivalent} for any append-only placement:
     [m1 < m2 ⟺ stamp_lt V_m1 V_m2] (with implicit zero padding), whatever
-    the chain count. The chain count only sets the vector dimension; on
-    message posets of synchronous computations it tracks the paper's
-    ⌊N/2⌋ width bound (Theorem 8) that the batch realizer achieves.
+    the chain count. The chain count only sets the vector dimension, and
+    no bound ties it to the width: append-only placement cannot re-route
+    a chain whose stamps are out, so it can exceed both the poset's
+    width and the paper's ⌊N/2⌋ bound (Theorem 8) that the batch
+    realizer achieves. On seeded streams of about 500k messages at
+    window 1024 it reached 15 on cs:8x248 (width at most 8), 37 on
+    gnp:64:0.3 (⌊N/2⌋ = 32), 24–25 on ring:32 (16) and 40–41 on
+    grid:8x8 (32).
 
     {b Bounded frontier.} Per-element state (ancestor bitset rows, the
-    incremental Hopcroft–Karp matching of {!Matching.augment_from} — one
-    augmenting search per insertion) lives in a recycled window of
+    incremental Hopcroft–Karp matching — at most one augmenting search
+    per insertion, the loop form of {!Matching.augment_from}) lives in a
+    recycled window of
     [window] slots. When the window fills, the oldest live prefix is
     retired: its closure rows are dropped and its matched edges frozen.
     Stamps are unaffected; {!width} decays from exact (Dilworth, while
     {!exact}) to an upper bound, because a frozen edge can no longer be
     re-routed.
 
-    {b Word-parallel insert.} Every live row holds exactly its slot's
-    live ancestors, and a chain's live elements are a contiguous range
-    of ranks ending at its tail (retirement takes the oldest first, and
-    a chain's insertion order is its rank order). So the new element's
-    row is the union, over chains c, of the live slot of rank
-    [base.(c)] and that slot's row, found through a per-chain ring of
-    [window] slots indexed by rank mod window. A set of the live slots
-    still free on the left side of the matching turns the direct match
-    into one word-parallel intersection. Memory is
+    {b Insert from predecessor rows.} Every live row holds exactly its
+    slot's live ancestors, so the new element's row is the union of its
+    predecessors' rows and the predecessors themselves — two rows for a
+    message, whose immediate predecessors are the last messages at its
+    two endpoints. The caller names each predecessor by its stamp and
+    chain ({!pred}), and a per-chain ring of [window] slots indexed by
+    rank mod window resolves it to a slot. Only a predecessor that has
+    retired costs a pass over every chain: a chain's live elements are a
+    contiguous range of ranks ending at its tail (retirement takes the
+    oldest first, and a chain's insertion order is its rank order), so
+    its live down-set is the union, over chains c, of the live slot of
+    rank [p.(c)] and that slot's row. A set of the live slots still free
+    on the left side of the matching turns the direct match into one
+    word-parallel intersection. The live slots are kept in insertion
+    order, so retirement walks them without sorting. Memory is
     O(window²/word + chains · (window + chains)) words: rows, rings and
     tail stamps, independent of the number of elements inserted — see
     {!live_words}. *)
@@ -71,17 +83,27 @@ val create : ?window:int -> unit -> t
     retires the oldest prefix — stamps stay exact, {!width} becomes an
     upper bound. *)
 
-val insert : t -> preds:stamp list -> stamp
-(** Insert the next element of the linear extension, given the stamps of
-    a generating set of its predecessors (immediate predecessors suffice:
-    any set whose down-sets union to the element's full strict down-set).
-    Returns the element's final stamp. O(chains · window/word) words for
-    the ancestor row and the direct match, plus, when no ancestor is a
-    free matching tail, one augmenting search of O(visited rows ·
-    window/word) words that allocates two closures and nothing per
-    visited row. Raises
-    [Invalid_argument] if a stamp could not have been emitted by this
-    structure. *)
+val pred : t -> stamp -> chain:int -> unit
+(** [pred t p ~chain] names a predecessor of the element the next
+    {!insert} places: [p] is the stamp this structure emitted for it and
+    [chain] the chain it went on ({!last_chain} right after its insert).
+    Name a generating set of the element's predecessors (immediate
+    predecessors suffice: any set whose down-sets union to the element's
+    full strict down-set); naming one twice is harmless. Raises
+    [Invalid_argument], forgetting the predecessors named so far, if [p]
+    could not have been emitted by this structure or holds no element of
+    [chain]. *)
+
+val insert : t -> stamp
+(** Insert the next element of the linear extension, below the
+    predecessors named by {!pred} since the last insert, and return its
+    final stamp. Naming a predecessor ORs its row in, O(window/word)
+    words, or O(chains · window/word) once it has retired; the insert
+    takes one word-parallel intersection for the direct match, plus,
+    when no ancestor is a free matching tail, one augmenting search of
+    O(visited rows · window/word) words. It allocates only the returned
+    stamp, and the rank ring of a chain it opens; neither naming nor
+    retirement allocates. *)
 
 val size : t -> int
 (** Elements inserted so far. *)
@@ -115,11 +137,16 @@ val live_words : t -> int
     O(window²/word_size + chains · (window + chains)): slot arrays,
     ancestor rows, the free-left and scratch sets, one rank ring of
     [window] slots per chain and the tail stamps. Independent of
-    {!size}. The streaming pipeline's memory claim is benchmarked
-    against this. *)
+    {!size}, and never decreasing, so its current value is its peak.
+    The streaming pipeline's memory claim is benchmarked against
+    this. *)
 
 val last_info : t -> info
-(** Attribution of the most recent {!insert}. *)
+(** Attribution of the most recent {!insert} (a fresh record). *)
+
+val last_chain : t -> int
+(** [(last_info t).chain] without building the record: the handle
+    {!pred} takes for the element just inserted. *)
 
 val stamp_lt : stamp -> stamp -> bool
 (** Strict vector order with implicit zero padding of the shorter stamp.

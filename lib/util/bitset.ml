@@ -30,7 +30,16 @@ let popcount x =
   go 0 x
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+
+(* A loop, not [Array.for_all], whose local recursion allocates a
+   closure per call: the streaming insert asks this once per repair. *)
+let is_empty t =
+  let n = Array.length t.words and w = ref 0 in
+  while !w < n && Array.unsafe_get t.words !w = 0 do
+    incr w
+  done;
+  !w = n
+
 let copy t = { words = Array.copy t.words; n = t.n }
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 

@@ -394,22 +394,21 @@ let test_streaming_known () =
   Alcotest.(check bool) "empty exact" true (Streaming_chains.exact t);
   (* A pure chain: each element covers the previous one. *)
   let t = Streaming_chains.create () in
-  let last = ref [] in
+  let last = ref [||] in
   for k = 1 to 10 do
-    let s = Streaming_chains.insert t ~preds:!last in
+    if k > 1 then Streaming_chains.pred t !last ~chain:0;
+    let s = Streaming_chains.insert t in
     Alcotest.(check int) (Printf.sprintf "chain rank %d" k) k s.(0);
-    (match !last with
-    | [ prev ] ->
-        Alcotest.(check bool) "chain stamps increase" true
-          (Streaming_chains.stamp_lt prev s)
-    | _ -> ());
-    last := [ s ]
+    if k > 1 then
+      Alcotest.(check bool) "chain stamps increase" true
+        (Streaming_chains.stamp_lt !last s);
+    last := s
   done;
   Alcotest.(check int) "one chain" 1 (Streaming_chains.chains t);
   Alcotest.(check int) "chain width" 1 (Streaming_chains.width t);
   (* A pure antichain: no predecessors, ever. *)
   let t = Streaming_chains.create () in
-  let stamps = Array.init 8 (fun _ -> Streaming_chains.insert t ~preds:[]) in
+  let stamps = Array.init 8 (fun _ -> Streaming_chains.insert t) in
   Alcotest.(check int) "antichain chains" 8 (Streaming_chains.chains t);
   Alcotest.(check int) "antichain width" 8 (Streaming_chains.width t);
   Array.iteri
@@ -423,28 +422,43 @@ let test_streaming_known () =
     stamps;
   (* The minimum window still works (every insert retires). *)
   let t = Streaming_chains.create ~window:2 () in
-  let last = ref [] in
-  for _ = 1 to 20 do
-    let s = Streaming_chains.insert t ~preds:!last in
-    last := [ s ]
+  let last = ref [||] in
+  for k = 1 to 20 do
+    if k > 1 then Streaming_chains.pred t !last ~chain:0;
+    last := Streaming_chains.insert t
   done;
   Alcotest.(check int) "tiny-window chain" 1 (Streaming_chains.chains t);
-  Alcotest.(check bool) "tiny window retired" false (Streaming_chains.exact t)
+  Alcotest.(check bool) "tiny window retired" false (Streaming_chains.exact t);
+  (* A refused predecessor (a chain it is not on, a rank past its chain)
+     forgets the ones named before it. *)
+  let t = Streaming_chains.create () in
+  let a = Streaming_chains.insert t in
+  List.iter
+    (fun (p, chain) ->
+      Streaming_chains.pred t a ~chain:0;
+      (match Streaming_chains.pred t p ~chain with
+      | () -> Alcotest.fail "bad predecessor accepted"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) "nothing named survives a refusal" false
+        (Streaming_chains.stamp_lt a (Streaming_chains.insert t)))
+    [ (a, 1); ([| 2 |], 0) ]
 
-(* Insert [p] in linear-extension order; returns the structure, the order
-   and each element's stamp. *)
+(* Insert [p] in linear-extension order, naming every predecessor (not
+   just the immediate ones); returns the structure, the order and each
+   element's stamp. *)
 let stream_poset ?window p =
   let order = Poset.linear_extension p in
   let t = Streaming_chains.create ?window () in
   let stamp = Array.make (Poset.size p) [||] in
+  let chain = Array.make (Poset.size p) (-1) in
   Array.iteri
     (fun idx v ->
-      let preds =
-        List.filter_map
-          (fun u -> if Poset.lt p u v then Some stamp.(u) else None)
-          (Array.to_list (Array.sub order 0 idx))
-      in
-      stamp.(v) <- Streaming_chains.insert t ~preds)
+      for i = 0 to idx - 1 do
+        let u = order.(i) in
+        if Poset.lt p u v then Streaming_chains.pred t stamp.(u) ~chain:chain.(u)
+      done;
+      stamp.(v) <- Streaming_chains.insert t;
+      chain.(v) <- Streaming_chains.last_chain t)
     order;
   (t, order, stamp)
 
@@ -532,6 +546,72 @@ let posets_digest () =
   done;
   stamp_digest (List.rev !stamps)
 
+(* One insert's stamp and attribution, appended to a digest buffer. *)
+let add_insert b stamp (i : Streaming_chains.info) =
+  Array.iter (fun c -> Buffer.add_string b (string_of_int c ^ ",")) stamp;
+  Printf.bprintf b "|%d,%b,%b,%d,%d;" i.chain i.opened i.matched i.visited
+    i.retired
+
+(* 200 posets of up to 60 elements, each streamed naming only its
+   immediate predecessors (covers), as a message stream does, with each
+   insert's attribution. A named predecessor that has retired reaches
+   its live ancestors only through its stamp, which the posets above,
+   naming every predecessor, never need. *)
+let covers_digest () =
+  let rng = Synts_util.Rng.create 43 in
+  let b = Buffer.create 4096 in
+  for _ = 1 to 200 do
+    let n = Synts_util.Rng.int rng 61 in
+    let seed = Synts_util.Rng.int rng 1_000_000 in
+    let prob = 0.5 *. Synts_util.Rng.float rng in
+    let p = Poset.random (Synts_util.Rng.create seed) n prob in
+    let cover = Array.make_matrix n n false in
+    List.iter (fun (u, v) -> cover.(u).(v) <- true) (Poset.covers p);
+    let order = Poset.linear_extension p in
+    List.iter
+      (fun window ->
+        let t = Streaming_chains.create ~window () in
+        let stamp = Array.make n [||] and chain = Array.make n (-1) in
+        Array.iteri
+          (fun idx v ->
+            for i = 0 to idx - 1 do
+              let u = order.(i) in
+              if cover.(u).(v) then
+                Streaming_chains.pred t stamp.(u) ~chain:chain.(u)
+            done;
+            stamp.(v) <- Streaming_chains.insert t;
+            chain.(v) <- Streaming_chains.last_chain t;
+            add_insert b stamp.(v) (Streaming_chains.last_info t))
+          order)
+      [ 2; 3; 5; 8; 1024 ]
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Seeded 20k-message streams on the wider topologies (stream
+   dimensions in the tens), digested with each insert's attribution as
+   well as its stamp, so placement, matching growth, repair-search
+   visits and retirement are all pinned, not just the stamps. *)
+let info_stream_digest ~spec ~window =
+  let g =
+    match Synts_graph.Topology.spec_of_string spec with
+    | Ok spec ->
+        Synts_graph.Topology.build ~rng:(Synts_util.Rng.create 19) spec
+    | Error e -> invalid_arg e
+  in
+  let trace =
+    Synts_workload.Workload.random (Synts_util.Rng.create 23) ~topology:g
+      ~messages:20_000 ()
+  in
+  let module Stream = Synts_core.Offline.Stream in
+  let s = Stream.create ~window ~n:(Synts_graph.Graph.n g) () in
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (m : Synts_sync.Trace.message) ->
+      let v = Stream.observe s ~src:m.src ~dst:m.dst in
+      add_insert b v (Stream.last_info s))
+    (Synts_sync.Trace.messages trace);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let test_streaming_golden () =
   Alcotest.(check string) "cs:8x248 20k messages, window 1024"
     "5612ebbf1dfbb78c670d0f7ee69f3764" (cs_stream_digest ~window:1024);
@@ -540,7 +620,24 @@ let test_streaming_golden () =
     (cs_stream_digest ~window:3);
   Alcotest.(check string) "random posets, windows 2/3/8/1024"
     "d0158d58a991db56b63770bd08d8e7ac"
-    (posets_digest ())
+    (posets_digest ());
+  (* Recorded before the insert was rebuilt from predecessor rows. *)
+  Alcotest.(check string)
+    "random posets, covers named, with attribution, windows 2/3/5/8/1024"
+    "72763b602010b0c0893052ebd7617194" (covers_digest ());
+  List.iter
+    (fun (spec, window, digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s 20k messages with attribution, window %d" spec
+           window)
+        digest
+        (info_stream_digest ~spec ~window))
+    [
+      ("gnp:64:0.3", 1024, "035193dd7f5cd9570f69c7d883064489");
+      ("gnp:64:0.3", 3, "37a3d2f939667b20ea06aa0fa91100d5");
+      ("grid:8x8", 1024, "04cb509b141e97b75ba35edbdc8d8e8c");
+      ("grid:8x8", 3, "d47ee762f23277dbc7b7fb2ca4328df1");
+    ]
 
 let () =
   Alcotest.run "poset"

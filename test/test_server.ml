@@ -459,6 +459,16 @@ let drain_frames buf =
   in
   go []
 
+(* Bytes allocated so far, read exactly. Under OCaml 5
+   [Gc.allocated_bytes] counts the minor heap only up to its last
+   collection, so a collection inside a measured span charges the span
+   with everything allocated since the one before. [Gc.minor_words] is
+   exact, and [Gc.counters] adds what went straight to the major heap:
+   its major words less those promoted from the minor heap. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float (Sys.word_size / 8)
+
 (* Many small frames in one read: extraction must not copy the rest of
    the buffer per frame, which made draining quadratic. *)
 let test_frame_drain_linear () =
@@ -469,7 +479,7 @@ let test_frame_drain_linear () =
   in
   let buf = Frame.buffer () in
   Frame.feed buf wire (Bytes.length wire);
-  let before = Gc.allocated_bytes () in
+  let before = allocated_bytes () in
   let drained = ref 0 in
   let rec go () =
     match Frame.next buf with
@@ -480,7 +490,7 @@ let test_frame_drain_linear () =
         go ()
   in
   go ();
-  let allocated = Gc.allocated_bytes () -. before in
+  let allocated = allocated_bytes () -. before in
   Alcotest.(check int) "all frames" count !drained;
   if allocated > 4. *. float (Bytes.length wire) then
     Alcotest.failf "draining %d bytes of frames allocated %.0f bytes"
@@ -634,6 +644,34 @@ let test_service_rejects_gap_and_stale () =
       with
       | Protocol.Error_r _ -> ()
       | _ -> Alcotest.fail "negative seq accepted")
+
+(* A batch the offline backend rejects must stamp nothing: its retry
+   under the same sequence number gets the stamps a fresh daemon gives. *)
+let test_service_offline_rejects_whole_batch () =
+  let d = Decomposition.best (Topology.ring 4) in
+  let ok = Ingest.Message { src = 0; dst = 1 } in
+  let stamps ~reject_first =
+    let service = Service.create ~offline:true d in
+    Fun.protect
+      ~finally:(fun () -> Service.stop service)
+      (fun () ->
+        let conn = Service.attach service in
+        let observe events =
+          Service.handle service conn (Protocol.Observe { seq = 0; events })
+        in
+        if reject_first then
+          List.iter
+            (fun bad ->
+              match observe [| ok; bad |] with
+              | Protocol.Error_r _ -> ()
+              | _ -> Alcotest.fail "bad event accepted")
+            [ Ingest.Message { src = 2; dst = 2 }; Ingest.Internal { proc = 9 } ];
+        match observe [| ok; ok |] with
+        | Protocol.Outcomes o -> o
+        | _ -> Alcotest.fail "retry refused")
+  in
+  Alcotest.(check bool) "rejected batches left no stamp behind" true
+    (stamps ~reject_first:true = stamps ~reject_first:false)
 
 (* ---------- service: the offline backend over the byte path ---------- *)
 
@@ -1495,6 +1533,8 @@ let () =
           Alcotest.test_case "gap and stale rejected" `Quick
             test_service_rejects_gap_and_stale;
           test_service_offline_byte_path;
+          Alcotest.test_case "offline rejects a batch whole" `Quick
+            test_service_offline_rejects_whole_batch;
           Alcotest.test_case "offline stamps widen mid-reply" `Quick
             test_service_offline_widening;
           Alcotest.test_case "resolved queue is bounded on both backends"

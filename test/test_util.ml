@@ -108,7 +108,10 @@ let test_bitset_basic () =
   Alcotest.(check bool) "mem 62" false (Bitset.mem s 62);
   Bitset.remove s 63;
   Alcotest.(check bool) "removed" false (Bitset.mem s 63);
-  Alcotest.(check (list int)) "elements" [ 0; 64; 99 ] (Bitset.elements s)
+  Alcotest.(check (list int)) "elements" [ 0; 64; 99 ] (Bitset.elements s);
+  Bitset.remove s 0;
+  Alcotest.(check bool) "bits only past the first word" false
+    (Bitset.is_empty s)
 
 let test_bitset_out_of_range () =
   let s = Bitset.create 10 in
