@@ -1,44 +1,13 @@
 module Trace = Synts_sync.Trace
 
+(* Fidge–Mattern is the synchronous-clock rule with one bump per
+   endpoint, each on its own component. *)
 let timestamp_store ?store ?rows trace =
-  let n = Trace.n trace in
-  let dim = max n 1 in
-  let mcount = Trace.message_count trace in
-  let store =
-    match store with
-    | Some s ->
-        if Stamp_store.dim s <> dim then
-          invalid_arg "Fm_sync.timestamp_store: store dimension mismatch";
-        Stamp_store.clear s;
-        s
-    | None -> Stamp_store.create ~capacity:(mcount + 2) dim
-  in
-  let row_of_id =
-    match rows with
-    | Some r when Array.length r >= mcount -> r
-    | Some _ -> invalid_arg "Fm_sync.timestamp_store: rows array too short"
-    | None -> Array.make (max mcount 1) (-1)
-  in
-  let zero = Stamp_store.push_zero store in
-  let local_row = Array.make dim zero in
-  Array.iter
-    (fun (m : Trace.message) ->
-      let src = m.Trace.src and dst = m.Trace.dst in
-      let row =
-        Stamp_store.push_merge store ~a:local_row.(src) ~b:local_row.(dst)
-      in
-      Stamp_store.row_incr store row src;
-      Stamp_store.row_incr store row dst;
-      local_row.(src) <- row;
-      local_row.(dst) <- row;
-      row_of_id.(m.Trace.id) <- row)
-    (Trace.messages trace);
-  (store, row_of_id)
+  Sync_clock.sweep ?store ?rows ~who:"Fm_sync.timestamp_store"
+    ~dim:(max (Trace.n trace) 1) trace (fun clocks ~src ~dst ->
+      Sync_clock.stamp clocks ~src ~dst ~a:src ~b:dst)
 
-let timestamp_trace trace =
-  let store, row_of_id = timestamp_store trace in
-  Array.init (Trace.message_count trace) (fun id ->
-      Stamp_store.get store row_of_id.(id))
+let timestamp_trace trace = Sync_clock.vectors (timestamp_store trace) trace
 
 (* Seed implementation, kept as the equivalence oracle for the slab path. *)
 let timestamp_trace_reference trace =

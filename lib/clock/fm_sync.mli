@@ -15,9 +15,10 @@ val timestamp_store :
   ?rows:int array ->
   Synts_sync.Trace.t ->
   Stamp_store.t * int array
-(** Zero-allocation form: stamps land in a {!Stamp_store} slab; the
-    returned array maps message id to slab row. [?store]/[?rows] allow
-    buffer reuse across traces. *)
+(** Zero-allocation form: stamps land in a {!Stamp_store} slab through
+    the {!Sync_clock} kernel (bumps [a = src], [b = dst]); the returned
+    array maps message id to slab row. [?store]/[?rows] allow buffer
+    reuse across traces. *)
 
 val timestamp_trace_reference : Synts_sync.Trace.t -> Vector.t array
 (** The pre-slab seed implementation (equivalence oracle for tests). *)

@@ -9,19 +9,11 @@ let timestamp_trace_with ~classes trace =
   let r = 1 + Array.fold_left max 0 classes in
   if Array.exists (fun c -> c < 0) classes then
     invalid_arg "Plausible: negative class";
-  let local = Array.init n (fun _ -> Vector.zero r) in
-  let out = Array.make (Trace.message_count trace) [||] in
-  Array.iter
-    (fun (m : Trace.message) ->
-      let src = m.Trace.src and dst = m.Trace.dst in
-      let v = Vector.merge local.(src) local.(dst) in
-      Vector.incr v classes.(src);
-      if classes.(dst) <> classes.(src) then Vector.incr v classes.(dst);
-      local.(src) <- Vector.copy v;
-      local.(dst) <- v;
-      out.(m.Trace.id) <- Vector.copy v)
-    (Trace.messages trace);
-  out
+  let swept =
+    Sync_clock.sweep ~who:"Plausible" ~dim:r trace (fun clocks ~src ~dst ->
+        Sync_clock.stamp clocks ~src ~dst ~a:classes.(src) ~b:classes.(dst))
+  in
+  Sync_clock.vectors swept trace
 
 let timestamp_trace ~r trace =
   if r < 1 then invalid_arg "Plausible.timestamp_trace: r must be >= 1";

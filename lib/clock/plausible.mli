@@ -2,7 +2,8 @@
     vectors that are sound but not complete.
 
     Process [Pi] owns component [i mod r] of an [r]-sized vector; updates
-    mirror the synchronous Fidge–Mattern rule on the folded components.
+    mirror the synchronous Fidge–Mattern rule on the folded components
+    (the {!Sync_clock} kernel with the endpoints' classes as bumps).
     Guarantees [m1 ↦ m2 ⇒ v(m1) < v(m2)] but may order concurrent
     messages — experiment E10 measures that error rate to show why the
     paper's exact, topology-sized clocks matter for monitoring. *)

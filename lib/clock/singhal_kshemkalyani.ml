@@ -4,48 +4,33 @@ type stats = { messages : int; entries_sent : int; full_entries : int }
 
 let simulate trace =
   let n = Trace.n trace in
-  let dim = max n 1 in
-  let mcount = Trace.message_count trace in
-  (* One slab holds everything: rows [0 .. n*n-1] are the last-sent
-     matrix (row [i*n + j] is i's vector as of its last payload to j,
-     initially zero — the same semantics as "never sent"), row [n*n] is
-     the shared zero start vector, and each message appends one stamp
-     row.  The per-message cost is one fused merge plus one diff + blit
-     per direction; no vectors are copied. *)
-  let store = Stamp_store.create ~capacity:((n * n) + mcount + 2) dim in
-  for _ = 1 to n * n do
-    ignore (Stamp_store.push_zero store)
-  done;
-  let zero = Stamp_store.push_zero store in
-  let local_row = Array.make dim zero in
-  let out_row = Array.make (max mcount 1) (-1) in
+  (* [last.(i*n + j)] is the row of i's vector as of its last payload to
+     j: i's zero home row until then, the same semantics as "never
+     sent". Rows of a whole-trace sweep never move, so a row index
+     stands in for a copy of the vector. *)
+  let last = Array.init (n * n) (fun cell -> cell / n) in
   let entries = ref 0 in
   (* [a] transmits its current vector to [b]: count the entries that
      differ from the last payload on this channel, then remember the
      vector as the new last payload. *)
-  let exchange a b =
-    let cell = (a * n) + b in
-    entries := !entries + Stamp_store.diff_count store cell local_row.(a);
-    Stamp_store.blit_rows store ~src:local_row.(a) ~dst:cell
+  let exchange clocks a b =
+    let cell = (a * n) + b and now = Sync_clock.row clocks a in
+    entries :=
+      !entries + Stamp_store.diff_count (Sync_clock.store clocks) last.(cell) now;
+    last.(cell) <- now
   in
-  Array.iter
-    (fun (m : Trace.message) ->
-      let src = m.Trace.src and dst = m.Trace.dst in
-      (* Program message carries src's diff; the ack carries dst's diff
-         (of dst's pre-merge vector, as in the paper's Figure 5 line 04). *)
-      exchange src dst;
-      exchange dst src;
-      let row =
-        Stamp_store.push_merge store ~a:local_row.(src) ~b:local_row.(dst)
-      in
-      Stamp_store.row_incr store row src;
-      Stamp_store.row_incr store row dst;
-      local_row.(src) <- row;
-      local_row.(dst) <- row;
-      out_row.(m.Trace.id) <- row)
-    (Trace.messages trace);
-  let out = Array.init mcount (fun id -> Stamp_store.get store out_row.(id)) in
-  ( out,
+  let swept =
+    Sync_clock.sweep ~who:"Singhal_kshemkalyani.simulate" ~dim:(max n 1) trace
+      (fun clocks ~src ~dst ->
+        (* Program message carries src's diff; the ack carries dst's diff
+           (of dst's pre-merge vector, as in the paper's Figure 5 line
+           04). *)
+        exchange clocks src dst;
+        exchange clocks dst src;
+        Sync_clock.stamp clocks ~src ~dst ~a:src ~b:dst)
+  in
+  let mcount = Trace.message_count trace in
+  ( Sync_clock.vectors swept trace,
     {
       messages = mcount;
       entries_sent = !entries;

@@ -16,8 +16,9 @@ type stats = {
 
 val simulate : Synts_sync.Trace.t -> Vector.t array * stats
 (** Timestamps (identical to [Fm_sync.timestamp_trace]) plus wire cost.
-    Runs over a single {!Stamp_store} slab (stamps + the last-sent
-    matrix), so the sweep itself performs no per-message vector copies. *)
+    Stamps on the {!Sync_clock} kernel with the Fidge–Mattern bumps; the
+    last payload per channel is a row index into its slab, so the sweep
+    copies no vector per message. *)
 
 val simulate_reference : Synts_sync.Trace.t -> Vector.t array * stats
 (** The pre-slab seed implementation (equivalence oracle for tests). *)

@@ -39,13 +39,6 @@ let push t v =
   Array.blit v 0 t.slab base t.dim;
   t.rows - 1
 
-let push_row t r =
-  check_row t r "push_row";
-  let base = reserve t in
-  (* reserve may have swapped slabs; recompute nothing — blit within. *)
-  Array.blit t.slab (r * t.dim) t.slab base t.dim;
-  t.rows - 1
-
 let push_merge t ~a ~b =
   check_row t a "push_merge";
   check_row t b "push_merge";
@@ -79,52 +72,7 @@ let get t r =
   check_row t r "get";
   Array.sub t.slab (r * t.dim) t.dim
 
-let get_into t r v =
-  check_row t r "get_into";
-  if Array.length v <> t.dim then
-    invalid_arg "Stamp_store.get_into: size mismatch";
-  Array.blit t.slab (r * t.dim) v 0 t.dim
-
-let unsafe_cell t r k = t.slab.((r * t.dim) + k)
 let data t = t.slab
-let to_array t = Array.init t.rows (fun r -> get t r)
-
-let compare_rows t a b =
-  check_row t a "compare_rows";
-  check_row t b "compare_rows";
-  let slab = t.slab in
-  let pa = a * t.dim and pb = b * t.dim in
-  let some_lt = ref false and some_gt = ref false in
-  for k = 0 to t.dim - 1 do
-    let x = Array.unsafe_get slab (pa + k)
-    and y = Array.unsafe_get slab (pb + k) in
-    if x < y then some_lt := true;
-    if x > y then some_gt := true
-  done;
-  match (!some_lt, !some_gt) with
-  | true, false -> `Lt
-  | false, true -> `Gt
-  | false, false -> `Eq
-  | true, true -> `Concurrent
-
-let equal_rows t a b = compare_rows t a b = `Eq
-let lt_rows t a b = compare_rows t a b = `Lt
-let concurrent_rows t a b = compare_rows t a b = `Concurrent
-
-type checkpoint = { c_dim : int; c_rows : int; c_data : int array }
-
-let checkpoint t =
-  { c_dim = t.dim; c_rows = t.rows; c_data = Array.sub t.slab 0 (t.rows * t.dim) }
-
-let restore t ck =
-  if ck.c_dim <> t.dim then invalid_arg "Stamp_store.restore: dim mismatch";
-  let words = ck.c_rows * ck.c_dim in
-  if words > Array.length t.slab then begin
-    let bigger = Array.make (max words (2 * Array.length t.slab)) 0 in
-    t.slab <- bigger
-  end;
-  Array.blit ck.c_data 0 t.slab 0 words;
-  t.rows <- ck.c_rows
 
 let diff_count t a b =
   check_row t a "diff_count";

@@ -1,8 +1,8 @@
 module Decomposition = Synts_graph.Decomposition
-module Graph = Synts_graph.Graph
 module Trace = Synts_sync.Trace
 module Vector = Synts_clock.Vector
 module Stamp_store = Synts_clock.Stamp_store
+module Sync_clock = Synts_clock.Sync_clock
 module Tm = Synts_telemetry.Telemetry
 
 let m_stamps =
@@ -21,57 +21,23 @@ let group decomposition u v =
         (Printf.sprintf
            "Online: channel (%d,%d) is not in the edge decomposition" u v)
 
-(* The one stamping step both whole-trace and streaming paths share: the
-   new stamp is max(local src, local dst) bumped at the channel's group,
-   appended as a slab row; both endpoints then point at that row. No
-   per-message vector is allocated — stamps live in the store and the
-   per-process state is just a row index. *)
-let stamp_kernel decomposition store local_row ~src ~dst =
-  let row =
-    Stamp_store.push_merge store ~a:local_row.(src) ~b:local_row.(dst)
-  in
-  Stamp_store.row_incr store row (group decomposition src dst);
-  local_row.(src) <- row;
-  local_row.(dst) <- row;
-  row
-
 let timestamp_store ?store ?rows decomposition trace =
-  let n = Trace.n trace in
-  if n > Decomposition.graph_vertices decomposition then
+  if Trace.n trace > Decomposition.graph_vertices decomposition then
     invalid_arg "Online.timestamp_store: more processes than topology vertices";
   let d = Decomposition.size decomposition in
+  let swept =
+    Sync_clock.sweep ?store ?rows ~who:"Online.timestamp_store" ~dim:d trace
+      (fun clocks ~src ~dst ->
+        let g = group decomposition src dst in
+        Sync_clock.stamp clocks ~src ~dst ~a:g ~b:g)
+  in
   let mcount = Trace.message_count trace in
-  let store =
-    match store with
-    | Some s ->
-        if Stamp_store.dim s <> d then
-          invalid_arg "Online.timestamp_store: store dimension mismatch";
-        Stamp_store.clear s;
-        s
-    | None -> Stamp_store.create ~capacity:(mcount + n + 1) d
-  in
-  let row_of_id =
-    match rows with
-    | Some r when Array.length r >= mcount -> r
-    | Some _ -> invalid_arg "Online.timestamp_store: rows array too short"
-    | None -> Array.make (max mcount 1) (-1)
-  in
-  let zero = Stamp_store.push_zero store in
-  let local_row = Array.make (max n 1) zero in
-  Array.iter
-    (fun (m : Trace.message) ->
-      row_of_id.(m.Trace.id) <-
-        stamp_kernel decomposition store local_row ~src:m.Trace.src
-          ~dst:m.Trace.dst)
-    (Trace.messages trace);
   Tm.Counter.add m_stamps mcount;
   Tm.Counter.add m_entries (mcount * d);
-  (store, row_of_id)
+  swept
 
 let timestamp_trace decomposition trace =
-  let store, row_of_id = timestamp_store decomposition trace in
-  Array.init (Trace.message_count trace) (fun id ->
-      Stamp_store.get store row_of_id.(id))
+  Sync_clock.vectors (timestamp_store decomposition trace) trace
 
 (* Seed implementation, kept verbatim as the qcheck oracle for the slab
    kernel (one merge + two copies per message). *)
@@ -113,57 +79,25 @@ let timestamp_trace_protocol decomposition trace =
 let stamper decomposition =
   let n = Decomposition.graph_vertices decomposition in
   let d = Decomposition.size decomposition in
-  (* The stream is unbounded but only the ≤ n rows reachable from
-     [local_row] matter; once the slab holds [watermark] rows the live
-     ones are compacted to the front and the rest dropped, so the store
-     stays O(n·d) forever. *)
+  (* The stream is unbounded but only the n clocks matter; once the slab
+     holds [watermark] rows every clock is settled back to its home row
+     and the stamp rows are dropped, so the store stays O(n·d)
+     forever. *)
   let watermark = max 64 (4 * (n + 1)) in
-  let store = Stamp_store.create ~capacity:(watermark + 1) d in
-  let zero = Stamp_store.push_zero store in
-  let local_row = Array.make (max n 1) zero in
-  let scratch = Array.make (max n 1) 0 in
-  let compact () =
-    let count = ref 0 in
-    for p = 0 to n - 1 do
-      let r = local_row.(p) in
-      let seen = ref false in
-      for j = 0 to !count - 1 do
-        if scratch.(j) = r then seen := true
-      done;
-      if not !seen then begin
-        scratch.(!count) <- r;
-        incr count
-      end
-    done;
-    let count = !count in
-    (* Moving in increasing source order keeps dst ≤ src, so no live row
-       is overwritten before it is copied. *)
-    let live = Array.sub scratch 0 count in
-    Array.sort Int.compare live;
-    Array.iteri
-      (fun j r -> if j <> r then Stamp_store.blit_rows store ~src:r ~dst:j)
-      live;
-    for p = 0 to n - 1 do
-      let r = local_row.(p) in
-      let j = ref 0 in
-      while live.(!j) <> r do
-        incr j
-      done;
-      local_row.(p) <- !j
-    done;
-    Stamp_store.truncate store count
-  in
+  let clocks = Sync_clock.create ~capacity:(watermark + 1) ~n d in
+  let store = Sync_clock.store clocks in
   fun ~src ~dst ->
     if src < 0 || src >= n || dst < 0 || dst >= n then
       invalid_arg "Online.stamper: process out of range";
-    if Stamp_store.rows store >= watermark then compact ();
-    let row = stamp_kernel decomposition store local_row ~src ~dst in
+    if Stamp_store.rows store >= watermark then Sync_clock.settle clocks;
+    let g = group decomposition src dst in
+    let row = Sync_clock.stamp clocks ~src ~dst ~a:g ~b:g in
     Tm.Counter.incr m_stamps;
     Tm.Counter.add m_entries d;
     Stamp_store.get store row
 
 (* Seed implementation of the streaming stamper, kept as the qcheck
-   oracle for the compacting slab version. *)
+   oracle for the settling slab version. *)
 let stamper_reference decomposition =
   let n = Decomposition.graph_vertices decomposition in
   let d = Decomposition.size decomposition in
@@ -181,7 +115,3 @@ let stamper_reference decomposition =
 
 let precedes = Vector.lt
 let concurrent = Vector.concurrent
-
-let for_topology g =
-  let d = Decomposition.best g in
-  (d, stamper d)

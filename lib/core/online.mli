@@ -3,10 +3,12 @@
     Timestamps every message of a synchronous computation with a
     [d]-component vector, [d] the size of the chosen edge decomposition,
     such that [m1 ↦ m2 ⟺ v(m1) < v(m2)]. Two implementations are
-    provided: a direct one (both endpoints' merge + increment collapsed
-    into one step of a left-to-right sweep) and a packet-faithful one that
+    provided: the {!Synts_clock.Sync_clock} kernel (both endpoints' merge
+    + increment collapsed into one slab row per message), which also
+    stamps for the [synts serve] engine, and a packet-faithful one that
     drives two {!Edge_clock} state machines through the explicit
-    message/ack exchange; the test suite asserts they agree. *)
+    message/ack exchange — the independent oracle the test suite holds
+    the kernel to. *)
 
 val timestamp_trace :
   Synts_graph.Decomposition.t -> Synts_sync.Trace.t -> Synts_clock.Vector.t array
@@ -40,9 +42,10 @@ val stamper :
   Synts_graph.Decomposition.t -> (src:int -> dst:int -> Synts_clock.Vector.t)
 (** A stateful streaming stamper: feed messages in a linearization order,
     get each message's timestamp. Useful for online monitoring loops.
-    Internally stamps into a compacting slab whose size stays O(n·d)
-    regardless of stream length; each call returns a fresh copy of the
-    stamp. *)
+    Internally stamps on a {!Synts_clock.Sync_clock} kernel that settles
+    every clock back to its home row once the slab reaches
+    [max 64 (4(n+1))] rows, so its size stays O(n·d) regardless of
+    stream length; each call returns a fresh copy of the stamp. *)
 
 val stamper_reference :
   Synts_graph.Decomposition.t -> (src:int -> dst:int -> Synts_clock.Vector.t)
@@ -52,9 +55,3 @@ val precedes : Synts_clock.Vector.t -> Synts_clock.Vector.t -> bool
 (** The O(d) precedence test: [m1 ↦ m2 ⟺ precedes v1 v2]. *)
 
 val concurrent : Synts_clock.Vector.t -> Synts_clock.Vector.t -> bool
-
-val for_topology :
-  Synts_graph.Graph.t ->
-  Synts_graph.Decomposition.t * (src:int -> dst:int -> Synts_clock.Vector.t)
-(** Convenience: pick the best polynomial decomposition for a topology and
-    return it with a streaming stamper. *)

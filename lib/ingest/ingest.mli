@@ -34,9 +34,13 @@ type resolved = ticket * Synts_core.Internal_events.stamp
 (** A redeemed internal-event stamp. *)
 
 (** The interface proper. Implementations must stamp identically to the
-    deterministic single-process oracle ([Online.stamper] over the same
-    decomposition and event order) — the conformance tests hold every
-    conformer to that. *)
+    paper's packet-level Fig. 5 protocol over the same decomposition and
+    event order (the {!Synts_core.Edge_clock} msg/ack machine, driven by
+    [Online.timestamp_trace_protocol]) — the conformance tests hold every
+    Fig. 5 conformer to that oracle, which shares no code with the
+    stamping kernel. A batch that {!S.observe_batch} rejects changes
+    nothing in any sink: every event is checked before the first is
+    applied. *)
 module type S = sig
   type t
 

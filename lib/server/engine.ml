@@ -1,5 +1,6 @@
 module Decomposition = Synts_graph.Decomposition
 module Stamp_store = Synts_clock.Stamp_store
+module Sync_clock = Synts_clock.Sync_clock
 module Event_stream = Synts_core.Event_stream
 module Ingest = Synts_ingest.Ingest
 module Tm = Synts_telemetry.Telemetry
@@ -47,9 +48,10 @@ type t = {
          epoch. *)
   n : int;
   dim : int;
-  slab : Stamp_store.t;
-      (* Rows [0..n-1] are the per-process clocks; the last batch's event
-         [i] has row [n + i] above them, until the next sweep. *)
+  clocks : Sync_clock.t;
+      (* Rows [0..n-1] of its slab are the processes' home rows, where
+         every clock sits between sweeps; the last batch's event [i] has
+         row [n + i] above them, until the next sweep. *)
   mutable tickets : int array;
       (* The last batch's event [i]: its ticket when internal, -1 when a
          message. During validation it holds each message's group. *)
@@ -67,28 +69,11 @@ let of_layout ?(pending_cap = Ingest.Pending.default_cap) ?init
   if n < 0 then invalid_arg "Engine.create: negative process count";
   if dim < 1 then invalid_arg "Engine.create: dimension must be >= 1";
   if first_ticket < 0 then invalid_arg "Engine.create: negative first ticket";
-  let slab = Stamp_store.create ~capacity:(max 64 (2 * n)) dim in
-  for _ = 1 to n do
-    ignore (Stamp_store.push_zero slab)
-  done;
-  (match init with
-  | None -> ()
-  | Some rows ->
-      if Array.length rows <> n then
-        invalid_arg "Engine.create: init needs one row per process";
-      Array.iteri
-        (fun p r ->
-          if Array.length r <> dim then
-            invalid_arg "Engine.create: init row width mismatch";
-          Array.iteri
-            (fun k x -> if x <> 0 then Stamp_store.row_set slab p k x)
-            r)
-        rows);
   {
     index;
     n;
     dim;
-    slab;
+    clocks = Sync_clock.create ~capacity:(max 64 (2 * n)) ?init ~n dim;
     tickets = Array.make 64 0;
     batch = 0;
     stats = make_stats ();
@@ -110,7 +95,7 @@ let dimension t = t.dim
 let pending t = Ingest.Pending.length t.resolved
 let dropped t = Ingest.Pending.dropped t.resolved
 let next_ticket t = t.ticket_base + t.issued
-let process_vectors t = Array.init t.n (Stamp_store.get t.slab)
+let process_vectors t = Array.init t.n (Sync_clock.clock t.clocks)
 
 let telemetry_snapshot t = Tm.snapshot ~registry:t.stats.registry ()
 
@@ -124,14 +109,15 @@ let enqueue t resolved =
       Ingest.Pending.push t.resolved (t.ticket_base + ticket, stamp))
     resolved
 
-(* Endpoint [p] of the message stamped in row [r]. Its clock row still
-   holds its previous stamp, the [prev] of any internal event waiting on
-   it; vectors are built only then. *)
-let endpoint t p r =
+(* Endpoint [p] of the message stamped in row [r]; [prev] is the row of
+   its clock before the message, the [prev] of any internal event waiting
+   on it. Vectors are built only then. *)
+let endpoint t p ~prev r =
   if Event_stream.waiting t.events ~proc:p then
+    let slab = Sync_clock.store t.clocks in
     enqueue t
       (Event_stream.record_message t.events ~proc:p
-         ~prev:(Stamp_store.get t.slab p) (Stamp_store.get t.slab r))
+         ~prev:(Stamp_store.get slab prev) (Stamp_store.get slab r))
   else Event_stream.pass_message t.events ~proc:p
 
 let validate t events =
@@ -170,7 +156,8 @@ let sweep t events =
     t.tickets <- Array.make (max len (2 * Array.length t.tickets)) 0;
   (* Validate the whole batch up front so a bad event mutates nothing. *)
   validate t events;
-  Stamp_store.truncate t.slab t.n;
+  let clocks = t.clocks in
+  Sync_clock.drop_stamps clocks;
   t.batch <- len;
   if len > 0 then begin
     Tm.Counter.incr m_batches;
@@ -179,26 +166,36 @@ let sweep t events =
     for i = 0 to len - 1 do
       match Array.unsafe_get events i with
       | Ingest.Internal { proc } ->
-          ignore (Stamp_store.push_zero t.slab);
+          ignore (Stamp_store.push_zero (Sync_clock.store clocks));
           t.tickets.(i) <-
             t.ticket_base + Event_stream.record_internal t.events ~proc;
           t.issued <- t.issued + 1;
           incr internals
       | Ingest.Message { src; dst } ->
-          let r = Stamp_store.push_merge t.slab ~a:src ~b:dst in
-          Stamp_store.row_incr t.slab r t.tickets.(i);
-          endpoint t src r;
-          endpoint t dst r;
-          Stamp_store.blit_rows t.slab ~src:r ~dst:src;
-          Stamp_store.blit_rows t.slab ~src:r ~dst:dst;
+          let g = t.tickets.(i) in
+          let prev_src = Sync_clock.row clocks src
+          and prev_dst = Sync_clock.row clocks dst in
+          let r = Sync_clock.stamp clocks ~src ~dst ~a:g ~b:g in
+          endpoint t src ~prev:prev_src r;
+          endpoint t dst ~prev:prev_dst r;
           t.tickets.(i) <- -1
+    done;
+    (* Settle: each clock the batch moved goes back to its home row once,
+       however often the batch touched it. The stamp rows stay readable
+       until the next sweep drops them. *)
+    for i = 0 to len - 1 do
+      match Array.unsafe_get events i with
+      | Ingest.Message { src; dst } ->
+          Sync_clock.home clocks src;
+          Sync_clock.home clocks dst
+      | Ingest.Internal _ -> ()
     done;
     flush_stats t len !internals
   end
 
-let rows t = Stamp_store.data t.slab
+let rows t = Stamp_store.data (Sync_clock.store t.clocks)
 let tickets t = t.tickets
-let batch_stamp t i = Stamp_store.get t.slab (t.n + i)
+let batch_stamp t i = Stamp_store.get (Sync_clock.store t.clocks) (t.n + i)
 
 let observe_batch t events =
   sweep t events;
@@ -215,7 +212,7 @@ let finish t =
   let flushed =
     List.map
       (fun (ticket, stamp) -> (t.ticket_base + ticket, stamp))
-      (Event_stream.finish t.events ~prev:(Stamp_store.get t.slab))
+      (Event_stream.finish t.events ~prev:(Sync_clock.clock t.clocks))
   in
   let out = drain t @ flushed in
   (* Event_stream.finish retires the stream; tickets keep increasing

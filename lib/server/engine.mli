@@ -2,12 +2,18 @@
 
     An engine conforms to {!Synts_ingest.Ingest.S}, so everything that
     feeds a {!Synts_session.Session} can feed an engine unchanged. It
-    stamps on one domain into one {!Synts_clock.Stamp_store} slab: rows
-    [0 .. n-1] are the per-process clocks, and a batch's event [i] gets
-    row [n + i] above them — the componentwise max of its endpoints'
-    rows plus one on its edge group, which both endpoints then adopt.
-    Stamps are bit-identical to {!Synts_core.Online.stamper}, which stays
-    in-tree as the conformance oracle.
+    stamps on one domain with one {!Synts_clock.Sync_clock} kernel, the
+    one {!Synts_core.Online} also runs on. Rows [0 .. n-1] of its slab
+    are the processes' home rows, where every clock sits between
+    batches, and a batch's event [i] gets row [n + i] above them — the
+    componentwise max of its endpoints' clocks plus one on its edge
+    group, which both endpoints then adopt. After the sweep each clock
+    the batch moved is copied home once, however often it was touched;
+    the next sweep drops the batch's rows. The conformance tests hold
+    the stamps to the packet-faithful {!Synts_core.Edge_clock} protocol
+    ({!Synts_core.Online.timestamp_trace_protocol}), and [--check]
+    replays them through {!Synts_core.Epoch_stamper}; neither runs on
+    the kernel.
 
     The serve loop never asks for a vector: it calls {!sweep} and codes
     the reply straight from {!rows} ({!Protocol.put_outcome_rows}).
@@ -42,7 +48,8 @@ val of_layout :
     its component slot (typically [Synts_graph.Membership.index] of the
     epoch's membership). [init] (default all zeros) seeds the per-process
     clock rows — the previous engine's {!process_vectors} translated into
-    the new epoch — and must be [n] rows of width [dim]. [first_ticket]
+    the new epoch — and must be [n] rows of width [dim]; the kernel
+    seeds its home rows with them. [first_ticket]
     (default 0) continues the previous engine's ticket numbering
     ({!next_ticket}) so clients see one monotone ticket space across
     epochs. [dim < 1], [n < 0] or ill-shaped [init] raise

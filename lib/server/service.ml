@@ -1,7 +1,6 @@
 module Decomposition = Synts_graph.Decomposition
 module Graph = Synts_graph.Graph
 module Membership = Synts_graph.Membership
-module Online = Synts_core.Online
 module Epoch_stamper = Synts_core.Epoch_stamper
 module Wire = Synts_clock.Wire
 module Ingest = Synts_ingest.Ingest
@@ -278,37 +277,15 @@ let apply_churn t delta =
           if t.check then t.log <- Delta delta :: t.log;
           Ok (Membership.epoch m, n', dim'))
 
-(* Online mode, no churn: replay the whole arrival log through the
-   deterministic {!Online.stamper} oracle and compare message stamps
-   bit-for-bit.
+(* Online mode: replay events {e and} membership deltas in arrival order
+   through the epoch-aware oracle ({!Epoch_stamper} over a fresh
+   membership seeded from the epoch-0 decomposition, whose slots are the
+   decomposition's groups), crossing the same epoch boundaries at the
+   same points. Stamps must match bit-for-bit epoch by epoch.
+   [Epoch_stamper] keeps its own clocks, apart from the engine's kernel,
+   so a churn-free log is checked against an independent oracle too.
    Internal-event stamps are functions of the surrounding message
    stamps, so message equality is the whole exactness claim. *)
-let verify_online t =
-  let oracle = Online.stamper t.decomposition in
-  let stamped = ref (List.rev t.stamped) in
-  let checked = ref 0 in
-  let ok = ref true in
-  List.iter
-    (fun item ->
-      match item with
-      | Delta _ | Ev (Ingest.Internal _) -> ()
-      | Ev (Ingest.Message { src; dst }) -> (
-          incr checked;
-          let expect = oracle ~src ~dst in
-          match !stamped with
-          | got :: rest ->
-              stamped := rest;
-              if got <> expect then ok := false
-          | [] -> ok := false))
-    (List.rev t.log);
-  if !stamped <> [] then ok := false;
-  Protocol.Verified { ok = !ok; checked = !checked }
-
-(* Online mode with churn in the log: replay events {e and} membership
-   deltas in arrival order through the epoch-aware oracle
-   ({!Epoch_stamper} over a fresh membership seeded from the epoch-0
-   decomposition), crossing the same epoch boundaries at the same
-   points. Stamps must match bit-for-bit epoch by epoch. *)
 let verify_epochs t =
   let st =
     Epoch_stamper.create
@@ -379,12 +356,9 @@ let verify_offline t =
   end;
   Protocol.Verified { ok = !ok; checked = !checked }
 
-let has_churn_log t =
-  List.exists (function Delta _ -> true | Ev _ -> false) t.log
-
 let verify t =
   match t.backend with
-  | Online _ -> if has_churn_log t then verify_epochs t else verify_online t
+  | Online _ -> verify_epochs t
   | Offline_stream _ -> verify_offline t
 
 let error t e =

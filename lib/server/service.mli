@@ -37,10 +37,10 @@ val create :
 (** [check] (default false) additionally logs every ingested event in
     arrival order so {!Protocol.Verify} can replay the whole stream
     against a mode-specific oracle. With [offline] false (the default)
-    the backend is the Fig. 5 {!Engine} and verification replays
-    through {!Synts_core.Online.stamper} (or
-    {!Synts_core.Epoch_stamper} across churn), comparing stamps
-    bit-for-bit. With [offline] true the backend is
+    the backend is the Fig. 5 {!Engine} and verification replays the
+    log, membership deltas included, through
+    {!Synts_core.Epoch_stamper}, which keeps its own clocks apart from
+    the engine's kernel, comparing stamps bit-for-bit. With [offline] true the backend is
     the streaming Dilworth pipeline
     ({!Synts_ingest.Offline_sink}, live window [window]): stamps are
     offline-style rank vectors, and verification instead

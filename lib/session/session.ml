@@ -156,11 +156,36 @@ type outcome = Synts_ingest.Ingest.outcome =
   | Stamped of Vector.t
   | Deferred of Event_stream.ticket
 
-let observe t = function
+(* Every event is checked before any is applied, so a rejected batch
+   changes nothing — as in the engine and the offline sink. *)
+let check t = function
+  | Message { src; dst } ->
+      let known =
+        match t.stamper with
+        | Static (d, _) ->
+            Decomposition.lookup (Decomposition.index d) src dst >= 0
+        | Adaptive _ | Streaming _ ->
+            src >= 0 && src < t.n && dst >= 0 && dst < t.n && src <> dst
+      in
+      if not known then
+        invalid_arg
+          (Printf.sprintf "Session: channel (%d, %d) cannot be stamped" src dst)
+  | Internal { proc } ->
+      if proc < 0 || proc >= t.n then
+        invalid_arg
+          (Printf.sprintf "Session: internal event on unknown process %d" proc)
+
+let apply t = function
   | Message { src; dst } -> Stamped (message t ~src ~dst)
   | Internal { proc } -> Deferred (internal t ~proc)
 
-let observe_batch t events = Array.map (observe t) events
+let observe t event =
+  check t event;
+  apply t event
+
+let observe_batch t events =
+  Array.iter (check t) events;
+  Array.map (apply t) events
 
 let messages_observed t = t.observed
 let width t = Synts_poset.Incremental_width.width t.width

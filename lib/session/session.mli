@@ -65,11 +65,16 @@ type outcome = Synts_ingest.Ingest.outcome =
           {!drain_events}/{!finish_events}. *)
 
 val observe : t -> event -> outcome
-(** The unified entry point over both event kinds. [Message] raises
-    [Invalid_argument] for channels outside a fixed decomposition. *)
+(** The unified entry point over both event kinds. Raises
+    [Invalid_argument], changing nothing, for a [Message] on a channel
+    outside a fixed decomposition (or, for the other two kinds, outside
+    the process range or from a process to itself) and for an
+    [Internal] event on an unknown process. *)
 
 val observe_batch : t -> event array -> outcome array
-(** {!observe} over a contiguous run of events, in order. *)
+(** {!observe} over a contiguous run of events, in order. Every event is
+    checked first: a batch with one bad event raises and changes
+    nothing. *)
 
 module Sink : Synts_ingest.Ingest.S with type t = t
 (** The {!Synts_ingest.Ingest.S} conformance ([drain] and [finish] map

@@ -3,7 +3,6 @@ module Graph = Synts_graph.Graph
 module Decomposition = Synts_graph.Decomposition
 module Vector = Synts_clock.Vector
 module Wire = Synts_clock.Wire
-module Stamp_store = Synts_clock.Stamp_store
 module Edge_clock = Synts_core.Edge_clock
 module Online = Synts_core.Online
 module Script = Synts_net.Script
@@ -261,27 +260,6 @@ let test_edge_clock_recovery_exact () =
   Alcotest.(check bool) "first stamps equal" true (Vector.equal t1 t1');
   Alcotest.(check bool) "post-recovery stamps equal" true (Vector.equal t2 t2')
 
-let vec_of_list xs =
-  let v = Vector.zero (List.length xs) in
-  List.iteri (fun i x -> for _ = 1 to x do Vector.incr v i done) xs;
-  v
-
-let test_stamp_store_checkpoint () =
-  let s = Stamp_store.create 3 in
-  ignore (Stamp_store.push s (vec_of_list [ 1; 0; 2 ]));
-  ignore (Stamp_store.push s (vec_of_list [ 1; 1; 2 ]));
-  let ck = Stamp_store.checkpoint s in
-  ignore (Stamp_store.push s (vec_of_list [ 4; 4; 4 ]));
-  ignore (Stamp_store.push s (vec_of_list [ 5; 5; 5 ]));
-  Stamp_store.restore s ck;
-  Alcotest.(check int) "row count restored" 2 (Stamp_store.rows s);
-  Alcotest.(check bool) "row contents restored" true
-    (Vector.equal (vec_of_list [ 1; 1; 2 ]) (Stamp_store.get s 1));
-  let other = Stamp_store.create 4 in
-  Alcotest.check_raises "dimension mismatch"
-    (Invalid_argument "Stamp_store.restore: dim mismatch") (fun () ->
-      Stamp_store.restore other ck)
-
 (* ---------- Chaos properties ---------- *)
 
 (* Abstract fault-plan pieces: process picks are raw ints concretised
@@ -524,7 +502,6 @@ let () =
           Alcotest.test_case "edge clock" `Quick test_edge_clock_checkpoint;
           Alcotest.test_case "recovery exactness" `Quick
             test_edge_clock_recovery_exact;
-          Alcotest.test_case "stamp store" `Quick test_stamp_store_checkpoint;
         ] );
       ( "chaos",
         [

@@ -14,6 +14,7 @@ module Bitmatrix = Synts_util.Bitmatrix
 module Rng = Synts_util.Rng
 module Vector = Synts_clock.Vector
 module Stamp_store = Synts_clock.Stamp_store
+module Sync_clock = Synts_clock.Sync_clock
 module Fm_sync = Synts_clock.Fm_sync
 module Sk = Synts_clock.Singhal_kshemkalyani
 module Online = Synts_core.Online
@@ -33,14 +34,14 @@ let test_store_push_get () =
   let s = Stamp_store.create ~capacity:1 3 in
   let r0 = Stamp_store.push s [| 1; 2; 3 |] in
   let r1 = Stamp_store.push_zero s in
-  let r2 = Stamp_store.push_row s r0 in
+  let r2 = Stamp_store.push s [| 4; 5; 6 |] in
   (* capacity 1 forces two doublings along the way *)
   Alcotest.(check int) "rows" 3 (Stamp_store.rows s);
   Alcotest.(check (list int)) "r0" [ 1; 2; 3 ]
     (Array.to_list (Stamp_store.get s r0));
   Alcotest.(check (list int)) "r1" [ 0; 0; 0 ]
     (Array.to_list (Stamp_store.get s r1));
-  Alcotest.(check (list int)) "r2 copies r0" [ 1; 2; 3 ]
+  Alcotest.(check (list int)) "r2" [ 4; 5; 6 ]
     (Array.to_list (Stamp_store.get s r2))
 
 let test_store_merge_incr () =
@@ -55,8 +56,6 @@ let test_store_merge_incr () =
     (Array.to_list (Stamp_store.get s m));
   Alcotest.(check (list int)) "sources untouched" [ 5; 0; 2 ]
     (Array.to_list (Stamp_store.get s a));
-  Alcotest.(check bool) "lt" true (Stamp_store.lt_rows s a m);
-  Alcotest.(check bool) "concurrent" true (Stamp_store.concurrent_rows s a b);
   Alcotest.(check int) "diff_count" 2 (Stamp_store.diff_count s a b)
 
 let test_store_blit_truncate_clear () =
@@ -64,7 +63,8 @@ let test_store_blit_truncate_clear () =
   let a = Stamp_store.push s [| 1; 1 |] in
   let b = Stamp_store.push s [| 9; 9 |] in
   Stamp_store.blit_rows s ~src:b ~dst:a;
-  Alcotest.(check bool) "equal after blit" true (Stamp_store.equal_rows s a b);
+  Alcotest.(check (list int)) "equal after blit" [ 9; 9 ]
+    (Array.to_list (Stamp_store.get s a));
   Stamp_store.truncate s 1;
   Alcotest.(check int) "truncated" 1 (Stamp_store.rows s);
   (match Stamp_store.get s 1 with
@@ -73,19 +73,68 @@ let test_store_blit_truncate_clear () =
   Stamp_store.clear s;
   Alcotest.(check int) "cleared" 0 (Stamp_store.rows s)
 
-let test_store_get_into_and_bounds () =
+let test_store_bounds () =
   let s = Stamp_store.create 2 in
-  let r = Stamp_store.push s [| 3; 7 |] in
-  let buf = Array.make 2 0 in
-  Stamp_store.get_into s r buf;
-  Alcotest.(check (list int)) "get_into" [ 3; 7 ] (Array.to_list buf);
-  Alcotest.(check int) "unsafe_cell" 7 (Stamp_store.unsafe_cell s r 1);
   (match Stamp_store.push s [| 1 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dimension mismatch accepted");
   match Stamp_store.create (-1) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative dim accepted"
+
+(* ---------- Sync_clock units ---------- *)
+
+let clock_list k p = Array.to_list (Sync_clock.clock k p)
+
+let test_sync_clock_rule () =
+  let k = Sync_clock.create ~n:3 3 in
+  (* Fig. 5: one bump on the channel's group ([a = b]). *)
+  let r = Sync_clock.stamp k ~src:0 ~dst:1 ~a:2 ~b:2 in
+  Alcotest.(check int) "first stamp above the home rows" 3 r;
+  Alcotest.(check (list int)) "a = b bumps once" [ 0; 0; 1 ] (clock_list k 0);
+  Alcotest.(check (list int)) "both endpoints adopt it" [ 0; 0; 1 ]
+    (clock_list k 1);
+  Alcotest.(check int) "src points at the stamp" r (Sync_clock.row k 0);
+  Alcotest.(check int) "dst points at the stamp" r (Sync_clock.row k 1);
+  (* Fidge–Mattern: one bump per endpoint. *)
+  ignore (Sync_clock.stamp k ~src:1 ~dst:2 ~a:1 ~b:2);
+  Alcotest.(check (list int)) "a <> b bumps both" [ 0; 1; 2 ]
+    (clock_list k 2);
+  Alcotest.(check (list int)) "bystander unchanged" [ 0; 0; 1 ]
+    (clock_list k 0);
+  Alcotest.(check (list int)) "home rows untouched" [ 0; 0; 0 ]
+    (Array.to_list (Stamp_store.get (Sync_clock.store k) 1))
+
+let test_sync_clock_settle () =
+  let k = Sync_clock.create ~n:3 2 in
+  ignore (Sync_clock.stamp k ~src:0 ~dst:1 ~a:0 ~b:0);
+  ignore (Sync_clock.stamp k ~src:1 ~dst:2 ~a:1 ~b:1);
+  let before = List.init 3 (clock_list k) in
+  Sync_clock.home k 1;
+  Alcotest.(check int) "homed" 1 (Sync_clock.row k 1);
+  Alcotest.(check (list int)) "homed clock kept" [ 1; 1 ] (clock_list k 1);
+  Sync_clock.settle k;
+  Alcotest.(check int) "stamp rows dropped" 3
+    (Stamp_store.rows (Sync_clock.store k));
+  Alcotest.(check (list (list int))) "clocks kept" before
+    (List.init 3 (clock_list k));
+  let r = Sync_clock.stamp k ~src:2 ~dst:0 ~a:0 ~b:0 in
+  Alcotest.(check int) "stamps resume above the home rows" 3 r;
+  Alcotest.(check (list int)) "merged from settled clocks" [ 2; 1 ]
+    (clock_list k 0)
+
+let test_sync_clock_init () =
+  let k = Sync_clock.create ~init:[| [| 3; 0 |]; [| 0; 5 |] |] ~n:2 2 in
+  Alcotest.(check (list int)) "seeded home row" [ 0; 5 ] (clock_list k 1);
+  ignore (Sync_clock.stamp k ~src:0 ~dst:1 ~a:1 ~b:1);
+  Alcotest.(check (list int)) "stamp over seeded clocks" [ 3; 6 ]
+    (clock_list k 0);
+  (match Sync_clock.create ~init:[| [| 1 |] |] ~n:2 1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "init with a missing row accepted");
+  match Sync_clock.create ~init:[| [| 1 |]; [| 1; 2 |] |] ~n:2 1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "init row of the wrong width accepted"
 
 (* ---------- kernel equivalence (qcheck) ---------- *)
 
@@ -331,8 +380,13 @@ let () =
           Alcotest.test_case "merge/incr/compare" `Quick test_store_merge_incr;
           Alcotest.test_case "blit/truncate/clear" `Quick
             test_store_blit_truncate_clear;
-          Alcotest.test_case "get_into/bounds" `Quick
-            test_store_get_into_and_bounds;
+          Alcotest.test_case "bounds" `Quick test_store_bounds;
+        ] );
+      ( "sync-clock",
+        [
+          Alcotest.test_case "stamp rule" `Quick test_sync_clock_rule;
+          Alcotest.test_case "settle" `Quick test_sync_clock_settle;
+          Alcotest.test_case "init" `Quick test_sync_clock_init;
         ] );
       ( "kernel-equivalence",
         [

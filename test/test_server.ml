@@ -63,12 +63,15 @@ let engine_run ~batch d trace =
       resolved := Engine.finish engine @ !resolved;
       (Ingest.message_stamps outcomes, List.sort compare !resolved))
 
+(* The oracle is the packet-level Fig. 5 protocol ({!Edge_clock}), which
+   shares no code with the engine's kernel; the session runs on that
+   kernel and pins the internal-event stamps. *)
 let test_engine_matches_oracle =
   qtest ~count:60 "engine = single-domain oracle (stamps + internal)"
     Gen.computation Gen.computation_print (fun c ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
-      let oracle = Online.timestamp_trace d trace in
+      let oracle = Online.timestamp_trace_protocol d trace in
       let ref_stamps, ref_resolved = session_reference d trace in
       let stamps, resolved = engine_run ~batch:7 d trace in
       Array.for_all2 Vector.equal stamps oracle

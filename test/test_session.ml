@@ -174,6 +174,50 @@ let test_session_rejects_unknown_channel () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "channel outside the topology accepted"
 
+(* A batch with one bad event raises and changes nothing, for every
+   session kind, as in the engine and the offline sink: the session then
+   stamps exactly like a fresh one. *)
+let test_session_rejected_batch_changes_nothing () =
+  let kinds =
+    [
+      ( "static",
+        (fun () ->
+          Session.of_decomposition (Decomposition.best (Topology.star 4))),
+        Session.Message { src = 1; dst = 2 } );
+      ( "adaptive",
+        (fun () -> Session.adaptive ~n:4 ()),
+        Session.Message { src = 1; dst = 7 } );
+      ( "offline-stream",
+        (fun () -> Session.offline_stream ~n:4 ()),
+        Session.Message { src = 1; dst = 7 } );
+    ]
+  in
+  List.iter
+    (fun (kind, make, bad_message) ->
+      List.iter
+        (fun batch ->
+          let session = make () and fresh = make () in
+          (match Session.observe_batch session batch with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s: a batch with a bad event was accepted" kind);
+          Alcotest.(check int)
+            (kind ^ ": no message observed")
+            0
+            (Session.messages_observed session);
+          Alcotest.(check string)
+            (kind ^ ": next stamp as on a fresh session")
+            (Vector.to_string (message fresh ~src:0 ~dst:1))
+            (Vector.to_string (message session ~src:0 ~dst:1));
+          Alcotest.(check int)
+            (kind ^ ": no internal event recorded")
+            (List.length (Session.finish_events fresh))
+            (List.length (Session.finish_events session)))
+        [
+          [| Session.Message { src = 0; dst = 1 }; bad_message |];
+          [| Session.Internal { proc = 0 }; Session.Internal { proc = 9 } |];
+        ])
+    kinds
+
 (* ---------- streaming-offline sessions ---------- *)
 
 let test_session_offline_stream_exact =
@@ -247,6 +291,8 @@ let () =
             test_session_adaptive_dimension_grows;
           Alcotest.test_case "unknown channel" `Quick
             test_session_rejects_unknown_channel;
+          Alcotest.test_case "rejected batch changes nothing" `Quick
+            test_session_rejected_batch_changes_nothing;
           test_session_exact;
           test_session_static_matches_online;
           test_session_frontier;
