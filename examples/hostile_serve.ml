@@ -13,10 +13,12 @@
    which the daemon must drop the desynchronised stream.
 
    The daemon also listens on an admin socket, and both planes get the
-   same three kinds of frame: one in the earlier envelope ([d7 01]
-   where the version byte 2 now stands), a well-formed frame of the
-   other plane, and 50 seeded junk frames. Each must be answered with
-   an Error_r of the plane that received it. The clean connection then
+   same kinds of frame: a valid body of their own in each of the two
+   earlier envelopes ([d7 01] where the version byte now stands, and
+   version 2, this envelope with an FNV-1a checksum), each to be refused
+   as an unsupported wire version; a well-formed frame of the other
+   plane; and 50 seeded junk frames. Each must be answered with an
+   Error_r of the plane that received it. The clean connection then
    runs a seeded session, the daemon's --check replay must confirm
    every stamp, and the admin plane must still answer health.
 
@@ -142,9 +144,17 @@ let recv fd name =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       fail "%s: no reply within 10 s (daemon down?)" name
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length s && (String.sub s i n = sub || from (i + 1))
+  in
+  from 0
+
 (* Send each frame on [fd] and hand its reply's body to [refused],
-   which fails unless it is an Error_r of the receiving plane. *)
-let expect_refusals fd frames refused =
+   which fails unless it is an Error_r of the receiving plane and
+   returns its text; with [why], that text must name it. *)
+let expect_refusals ?why fd frames refused =
   List.iter
     (fun (name, frame) ->
       Frame.send fd frame;
@@ -152,19 +162,24 @@ let expect_refusals fd frames refused =
       | `Eof -> fail "%s: daemon closed the connection" name
       | `Frame reply -> (
           match Wire.unframe reply with
-          | Ok body -> refused name body
+          | Ok body -> (
+              let e = refused name body in
+              match why with
+              | Some sub when not (contains ~sub e) ->
+                  fail "%s: refused with %S, not for %S" name e sub
+              | _ -> ())
           | Error e -> fail "%s: unreadable reply (%s)" name e))
     frames
 
 let data_refused name body =
   match Protocol.decode_response body with
-  | Ok (Protocol.Error_r _) -> ()
+  | Ok (Protocol.Error_r e) -> e
   | Ok r -> fail "%s answered %a" name Protocol.pp_response r
   | Error e -> fail "%s: unreadable reply (%s)" name e
 
 let admin_refused name body =
   match Admin.decode_response body with
-  | Ok (Admin.Error_r _) -> ()
+  | Ok (Admin.Error_r e) -> e
   | Ok r -> fail "%s answered %a" name Admin.pp_response r
   | Error e -> fail "%s: unreadable admin reply (%s)" name e
 
@@ -188,16 +203,25 @@ let hostile_session rng =
   Unix.close fd;
   List.length frames
 
-(* [body] in the earlier envelope: [d7 01] where the version byte 2 now
-   stands, then the varint checksum and the body. *)
-let earlier_envelope body = "\xd7\x01" ^ varint (Wire.checksum body) ^ body
+(* [body] in the envelopes of earlier releases, both with the body's
+   varint FNV-1a checksum: [d7 01] where the version byte now stands,
+   and version 2. *)
+let earlier_envelopes body =
+  let fnv1a =
+    String.fold_left
+      (fun h c -> (h lxor Char.code c) * 0x01000193 land 0xffffffff)
+      0x811c9dc5
+  in
+  let digest = varint (fnv1a body) in
+  [
+    ("frame in the d7 01 layout", "\xd7\x01" ^ digest ^ body);
+    ("version-2 frame", "\x02" ^ digest ^ body);
+  ]
 
-(* The frames both planes must refuse, built from a valid body of the
-   receiving plane ([own]), one of the other plane ([other]) and the
-   receiving plane's junk. *)
-let plane_frames rng ~own ~other ~junk =
-  ("frame in the d7 01 layout", earlier_envelope own)
-  :: ("frame of the other plane", Wire.frame other)
+(* The other frames both planes must refuse, built from a valid body of
+   the other plane ([other]) and the receiving plane's junk. *)
+let plane_frames rng ~other ~junk =
+  ("frame of the other plane", Wire.frame other)
   :: List.init 50 (fun i ->
          if i mod 2 = 0 then (Printf.sprintf "raw junk #%d" i, random_bytes rng)
          else (Printf.sprintf "checksummed junk #%d" i, Wire.frame (junk rng)))
@@ -207,20 +231,25 @@ let plane_session rng =
   let health = Admin.encode_request Admin.Health in
   let legs =
     [
-      (path, plane_frames rng ~own:hello ~other:health ~junk:junk_body,
-       data_refused);
+      ( path,
+        earlier_envelopes hello,
+        plane_frames rng ~other:health ~junk:junk_body,
+        data_refused );
       ( admin_path,
-        plane_frames rng ~own:health ~other:hello ~junk:admin_junk_body,
+        earlier_envelopes health,
+        plane_frames rng ~other:hello ~junk:admin_junk_body,
         admin_refused );
     ]
   in
   List.fold_left
-    (fun total (sock, frames, refused) ->
+    (fun total (sock, earlier, frames, refused) ->
       let fd = connect_raw sock in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
-        (fun () -> expect_refusals fd frames refused);
-      total + List.length frames)
+        (fun () ->
+          expect_refusals ~why:"unsupported wire version" fd earlier refused;
+          expect_refusals fd frames refused);
+      total + List.length earlier + List.length frames)
     0 legs
 
 let clean_session rng g c =

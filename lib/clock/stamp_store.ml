@@ -28,6 +28,15 @@ let reserve t =
   t.rows <- t.rows + 1;
   base
 
+(* Every cell of the slab stays in [0, max_int]: [push] and [row_set]
+   refuse a negative component and [row_incr] refuses to wrap. That is
+   what makes [push_merge]'s branch-free max exact.
+
+   Rows are copied by loops over the [int array], not by [Array.blit]:
+   once the slab lives in the major heap, which a slab of any size soon
+   does, OCaml 5's [Array.blit] writes each element through
+   [caml_modify], while a loop the compiler knows to be over ints is a
+   plain load and store. *)
 let push_zero t =
   let base = reserve t in
   Array.fill t.slab base t.dim 0;
@@ -35,10 +44,19 @@ let push_zero t =
 
 let push t v =
   if Array.length v <> t.dim then invalid_arg "Stamp_store.push: size mismatch";
-  let base = reserve t in
-  Array.blit v 0 t.slab base t.dim;
+  if Array.exists (fun x -> x < 0) v then
+    invalid_arg "Stamp_store.push: negative component";
+  let base = reserve t and slab = t.slab in
+  for k = 0 to t.dim - 1 do
+    Array.unsafe_set slab (base + k) (Array.unsafe_get v k)
+  done;
   t.rows - 1
 
+(* [x - (d land (d asr 62))] with [d = x - y] is [max x y] without a
+   branch: [d asr 62] is all ones when [d < 0], which leaves
+   [x - d = y], and zero otherwise, which leaves [x]. [x - y] cannot
+   overflow because both lie in [0, max_int]. A compare-and-branch here
+   mispredicts on real group mixes. *)
 let push_merge t ~a ~b =
   check_row t a "push_merge";
   check_row t b "push_merge";
@@ -48,7 +66,8 @@ let push_merge t ~a ~b =
   for k = 0 to t.dim - 1 do
     let x = Array.unsafe_get slab (pa + k)
     and y = Array.unsafe_get slab (pb + k) in
-    Array.unsafe_set slab (base + k) (if x > y then x else y)
+    let d = x - y in
+    Array.unsafe_set slab (base + k) (x - (d land (d asr 62)))
   done;
   t.rows - 1
 
@@ -56,17 +75,25 @@ let row_incr t r k =
   check_row t r "row_incr";
   if k < 0 || k >= t.dim then invalid_arg "Stamp_store.row_incr: bad component";
   let i = (r * t.dim) + k in
-  t.slab.(i) <- t.slab.(i) + 1
+  let x = t.slab.(i) in
+  if x = max_int then invalid_arg "Stamp_store.row_incr: component overflow";
+  t.slab.(i) <- x + 1
 
 let row_set t r k v =
   check_row t r "row_set";
   if k < 0 || k >= t.dim then invalid_arg "Stamp_store.row_set: bad component";
+  if v < 0 then invalid_arg "Stamp_store.row_set: negative component";
   t.slab.((r * t.dim) + k) <- v
 
+(* Two distinct rows never overlap, so an ascending copy is exact, and
+   [src = dst] copies each cell onto itself. *)
 let blit_rows t ~src ~dst =
   check_row t src "blit_rows";
   check_row t dst "blit_rows";
-  Array.blit t.slab (src * t.dim) t.slab (dst * t.dim) t.dim
+  let slab = t.slab and ps = src * t.dim and pd = dst * t.dim in
+  for k = 0 to t.dim - 1 do
+    Array.unsafe_set slab (pd + k) (Array.unsafe_get slab (ps + k))
+  done
 
 let get t r =
   check_row t r "get";

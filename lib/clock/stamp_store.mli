@@ -8,7 +8,12 @@
     arrays; every Fig. 5, Fidge–Mattern, Singhal–Kshemkalyani and
     plausible sweep runs on it. Rows are addressed by index; [get] copies
     a row out as an ordinary {!Vector.t} when callers need a standalone
-    value. *)
+    value.
+
+    Every component stays between 0 and [max_int]: the writers refuse
+    a negative value or an increment past [max_int]. Components are
+    message counts, and the bound is what lets {!push_merge} take its
+    max without a branch. *)
 
 type t
 
@@ -35,22 +40,26 @@ val push_zero : t -> int
 
 val push : t -> Vector.t -> int
 (** Append a copy of a vector. Raises [Invalid_argument] on size
-    mismatch. *)
+    mismatch or a negative component. *)
 
 val push_merge : t -> a:int -> b:int -> int
 (** [push_merge t ~a ~b] appends the componentwise maximum of rows [a]
-    and [b] — one fused pass over the slab, no intermediate vector. *)
+    and [b] — one fused, branch-free pass over the slab, no
+    intermediate vector. *)
 
 (** {1 In-place row updates} *)
 
 val row_incr : t -> int -> int -> unit
-(** [row_incr t r k] increments component [k] of row [r]. *)
+(** [row_incr t r k] increments component [k] of row [r]. Raises
+    [Invalid_argument] when the component is already [max_int]. *)
 
 val row_set : t -> int -> int -> int -> unit
-(** [row_set t r k v] writes component [k] of row [r]. *)
+(** [row_set t r k v] writes component [k] of row [r]. Raises
+    [Invalid_argument] when [v] is negative. *)
 
 val blit_rows : t -> src:int -> dst:int -> unit
-(** Overwrite row [dst] with row [src]. *)
+(** Overwrite row [dst] with row [src] ([src = dst] leaves it as it
+    is). *)
 
 (** {1 Reading} *)
 

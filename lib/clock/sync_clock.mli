@@ -23,9 +23,10 @@ type t
 val create : ?capacity:int -> ?init:int array array -> n:int -> int -> t
 (** [create ~n dim] makes a kernel of [n] processes with [dim]-component
     clocks, every process at its home row. [init] (default all zeros)
-    seeds the home rows and must hold [n] rows of width [dim].
-    [capacity] (default 64) is the slab's initial row count. [n < 0],
-    [dim < 0] or an ill-shaped [init] raise [Invalid_argument]. *)
+    seeds the home rows and must hold [n] rows of width [dim], with no
+    negative component. [capacity] (default 64) is the slab's initial
+    row count. [n < 0], [dim < 0], an ill-shaped [init] or a negative
+    [init] component raise [Invalid_argument]. *)
 
 val store : t -> Stamp_store.t
 (** The slab. Other rows may be pushed on it between stamps (the engine

@@ -15,6 +15,10 @@ exception Malformed of string
    reports. *)
 exception Bad_varint
 
+(* A delta-coded component out of range, by index, raised the same way
+   with the cursor just past its varint. *)
+exception Bad_delta of int
+
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 (* A non-negative OCaml int has at most 62 significant bits: 9 groups. *)
@@ -36,13 +40,12 @@ let encoded_bytes v =
   done;
   !total
 
-(* The one varint writer: LEB128 at [pos], returning the next position.
-   Callers guarantee room for [varint_bytes v] bytes. A value below 0x80
-   — nearly every delta-coded stamp component — is one inlined store;
-   everything else, the negative values it refuses included, takes the
-   loop, which alone emits multi-byte (and so canonical) encodings. *)
-let set_varint_loop buf pos v =
-  if v < 0 then invalid_arg "Wire: negative value";
+(* LEB128 of a non-negative [v] at [pos], returning the next position.
+   Callers guarantee room for [varint_bytes v] bytes. It makes no call,
+   so a loop that inlines it keeps its cursor in a register: a call
+   anywhere in a loop body, even on a path never taken, makes the
+   compiler keep the loop's state on the stack. *)
+let[@inline] set_uvarint buf pos v =
   let pos = ref pos and v = ref v in
   while !v >= 0x80 do
     Bytes.unsafe_set buf !pos (Char.unsafe_chr (!v land 0x7f lor 0x80));
@@ -51,6 +54,14 @@ let set_varint_loop buf pos v =
   done;
   Bytes.unsafe_set buf !pos (Char.unsafe_chr !v);
   !pos + 1
+
+(* The one varint writer: [set_uvarint] of a value it first checks. A
+   value below 0x80 — nearly every delta-coded stamp component — is one
+   inlined store; everything else, the negative values it refuses
+   included, goes out of line. *)
+let set_varint_loop buf pos v =
+  if v < 0 then invalid_arg "Wire: negative value";
+  set_uvarint buf pos v
 
 let[@inline] set_varint buf pos v =
   if v land lnot 0x7f = 0 then begin
@@ -109,21 +120,34 @@ let put_vector w v = put_row w v ~off:0 ~len:(Array.length v)
    that range, so each vector has exactly one encoding. *)
 let max_delta = 1 lsl 61
 
-(* The one delta writer, over slab rows and vectors alike. *)
+(* Raised in place rather than through [invalid_arg], so the delta
+   loops make no call. *)
+let delta_out_of_range =
+  Invalid_argument "Wire.put_delta_row: component or delta out of range"
+
+(* The one delta writer, over slab rows and vectors alike: one loop over
+   the components [prev] covers, one over the zero-padded rest. Zigzag
+   codes of in-range deltas are non-negative, so both loops write with
+   [set_uvarint] and make no call. *)
 let put_delta_row w ~prev ~prev_off ~prev_len a ~off ~len =
   check_sub "put_delta_row" prev prev_off prev_len;
   check_sub "put_delta_row" a off len;
   if w.len + (max_varint * (len + 1)) > Bytes.length w.buf then
     reserve w (max_varint * (len + 1));
-  let pos = ref (set_varint w.buf w.len len) in
-  for i = 0 to len - 1 do
+  let buf = w.buf in
+  let pos = ref (set_varint buf w.len len) in
+  let overlap = if len < prev_len then len else prev_len in
+  for i = 0 to overlap - 1 do
     let x = Array.unsafe_get a (off + i) in
-    let d =
-      x - if i < prev_len then Array.unsafe_get prev (prev_off + i) else 0
-    in
+    let d = x - Array.unsafe_get prev (prev_off + i) in
     if x < 0 || d >= max_delta || d <= -max_delta then
-      invalid_arg "Wire.put_delta_row: component or delta out of range";
-    pos := set_varint w.buf !pos ((d lsl 1) lxor (d asr (Sys.int_size - 1)))
+      raise_notrace delta_out_of_range;
+    pos := set_uvarint buf !pos ((d lsl 1) lxor (d asr (Sys.int_size - 1)))
+  done;
+  for i = overlap to len - 1 do
+    let x = Array.unsafe_get a (off + i) in
+    if x < 0 || x >= max_delta then raise_notrace delta_out_of_range;
+    pos := set_uvarint buf !pos (x lsl 1)
   done;
   w.len <- !pos
 
@@ -220,28 +244,67 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
+(* The vector readers take a run of one-byte varints at a time with a
+   local cursor, and then one longer varint (or the end of input)
+   through [get_varint_loop], which leaves [r.pos] at the varint when it
+   fails. Like [set_uvarint], the run loop makes no call, so it raises
+   its one failure in place. *)
 let get_vector r =
   let n = get_count r in
-  let v = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Array.unsafe_set v i (get_varint r)
+  let v = Array.make n 0 and s = r.src in
+  let len = String.length s and i = ref 0 in
+  while !i < n do
+    let pos = ref r.pos in
+    while
+      !i < n && !pos < len && Char.code (String.unsafe_get s !pos) < 0x80
+    do
+      Array.unsafe_set v !i (Char.code (String.unsafe_get s !pos));
+      incr pos;
+      incr i
+    done;
+    r.pos <- !pos;
+    if !i < n then begin
+      Array.unsafe_set v !i (get_varint_loop r);
+      incr i
+    end
   done;
   v
 
 (* [prev]'s overlap is copied first and each delta added in place, so
-   the zero padding costs no per-component test. *)
+   the zero padding costs no per-component test. A sum past [max_int]
+   wraps negative, and [z = max_int] is the delta -2^61, which no writer
+   emits; a one-byte code is never [max_int]. *)
 let get_delta_vector r ~prev =
-  let n = get_count r in
-  let v = Array.make n 0 in
-  Array.blit prev 0 v 0 (min n (Array.length prev));
-  for i = 0 to n - 1 do
-    let z = get_varint r in
-    let x = Array.unsafe_get v i + ((z lsr 1) lxor -(z land 1)) in
-    (* [z = max_int] is the delta -2^61, which no writer emits; a sum
-       past [max_int] wraps negative. *)
-    if x < 0 || z = max_int then
-      malformed "delta-coded component %d out of range before byte %d" i r.pos;
-    Array.unsafe_set v i x
+  let n = get_count r and plen = Array.length prev in
+  let v =
+    if n <= plen then Array.sub prev 0 n
+    else Array.append prev (Array.make (n - plen) 0)
+  in
+  let s = r.src in
+  let len = String.length s and i = ref 0 in
+  while !i < n do
+    let pos = ref r.pos in
+    while
+      !i < n && !pos < len && Char.code (String.unsafe_get s !pos) < 0x80
+    do
+      let z = Char.code (String.unsafe_get s !pos) in
+      let x = Array.unsafe_get v !i + ((z lsr 1) lxor -(z land 1)) in
+      incr pos;
+      if x < 0 then begin
+        r.pos <- !pos;
+        raise_notrace (Bad_delta !i)
+      end;
+      Array.unsafe_set v !i x;
+      incr i
+    done;
+    r.pos <- !pos;
+    if !i < n then begin
+      let z = get_varint_loop r in
+      let x = Array.unsafe_get v !i + ((z lsr 1) lxor -(z land 1)) in
+      if x < 0 || z = max_int then raise_notrace (Bad_delta !i);
+      Array.unsafe_set v !i x;
+      incr i
+    end
   done;
   v
 
@@ -261,6 +324,10 @@ let parse s f =
   | exception Malformed e -> Error e
   | exception Bad_varint ->
       Error (Printf.sprintf "malformed varint at byte %d" r.pos)
+  | exception Bad_delta i ->
+      Error
+        (Printf.sprintf "delta-coded component %d out of range before byte %d"
+           i r.pos)
 
 (* ---------- vectors ---------- *)
 
@@ -271,22 +338,57 @@ let encode v =
 
 let decode s = parse s get_vector
 
-(* FNV-1a, 32-bit. One pass, no allocation; any single-bit flip of the
-   payload changes the digest (xor-then-multiply never cancels a lone
-   flipped bit), which is the property the rendezvous layer relies on.
-   The low 32 bits of each step depend only on the low 32 bits of the
-   previous one, so masking once at the end gives the same digest as
-   masking every step. [Int64] keeps the hash untagged in a register,
-   which takes the tag fix-ups off the serial xor-multiply chain. *)
+(* The frame checksum, as [wire.mli] defines it: four independent
+   multiply chains over the little-endian words of each 16-byte block,
+   so a step consumes 16 bytes where a byte-serial hash consumes one.
+   The lanes run in [Int64], untagged in registers: the low 32 bits of
+   a sum, xor or product depend only on the low 32 bits of its
+   operands, so masking once at the end gives the 32-bit definition.
+   One range check at entry guards the unchecked loads. *)
+external get_int64u : string -> int -> int64 = "%caml_string_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Eight little-endian bytes: the low half is one lane's word and the
+   high half the next lane's. A lane fed the whole value still sees only
+   its own word, since its high half never reaches the low 32 bits. *)
+let[@inline] words s i =
+  let w = get_int64u s i in
+  if Sys.big_endian then swap64 w else w
+
+(* [k = 0x9e3779b1] as the signed 32-bit immediate with the same low 32
+   bits, the only ones that reach the digest. *)
+let[@inline] step h w = Int64.mul (Int64.logxor h w) (-0x61c8864fL)
+
+let fmix32 h =
+  let h = h lxor (h lsr 16) in
+  let h = (h * 0x85ebca6b) land 0xffffffff in
+  let h = h lxor (h lsr 13) in
+  let h = (h * 0xc2b2ae35) land 0xffffffff in
+  h lxor (h lsr 16)
+
 let checksum_sub s off len =
-  let h = ref 0x811c9dc5L in
-  for i = off to off + len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        0x01000193L
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Wire.checksum_sub: range out of bounds";
+  let h0 = ref 0x243f6a88L
+  and h1 = ref 0x85a308d3L
+  and h2 = ref 0x13198a2eL
+  and h3 = ref 0x03707344L in
+  let blocks_end = off + (len land lnot 15) in
+  let i = ref off in
+  while !i < blocks_end do
+    let p = !i in
+    let a = words s p and b = words s (p + 8) in
+    h0 := step !h0 a;
+    h1 := step !h1 (Int64.shift_right_logical a 32);
+    h2 := step !h2 b;
+    h3 := step !h3 (Int64.shift_right_logical b 32);
+    i := p + 16
   done;
-  Int64.to_int !h land 0xffffffff
+  let h = ref (step (step (step !h0 !h1) !h2) !h3) in
+  for j = blocks_end to off + len - 1 do
+    h := step !h (Int64.of_int (Char.code (String.unsafe_get s j)))
+  done;
+  fmix32 (Int64.to_int (step !h (Int64.of_int len)) land 0xffffffff)
 
 let checksum s = checksum_sub s 0 (String.length s)
 
@@ -295,9 +397,10 @@ let checksum s = checksum_sub s 0 (String.length s)
    A frame is a version byte, the varint checksum of the body, then the
    body. The version byte turns a peer speaking another revision away
    with a clear error instead of a baffling checksum failure. This build
-   reads and writes version 2 only; 0 and 1 named earlier layouts. *)
+   reads and writes version 3 only; 0 and 1 named earlier layouts, and
+   2 this one with an FNV-1a checksum. *)
 
-let current_version = 2
+let current_version = 3
 
 (* The frame header of a body with checksum [digest], written at [pos];
    returns the position of the body. *)

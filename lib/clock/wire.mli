@@ -136,8 +136,25 @@ val encoded_bytes : Vector.t -> int
 (** [String.length (encode v)] without building the string. *)
 
 val checksum : string -> int
-(** 32-bit FNV-1a digest of a byte string. Any single-bit flip of the
-    input changes the digest. *)
+(** The 32-bit frame checksum of a byte string, defined over its [n]
+    bytes with [k = 0x9e3779b1] and [step h w = (h lxor w) * k mod 2^32]
+    (a bijection in [h] and in [w], since [k] is odd):
+    - four lanes start at [0x243f6a88], [0x85a308d3], [0x13198a2e] and
+      [0x03707344];
+    - each whole 16-byte block, read as four little-endian 32-bit words
+      [w0..w3], steps lane [j] with [wj];
+    - [h = step (step (step lane0 lane1) lane2) lane3];
+    - each of the [n mod 16] bytes after the last block steps [h] with
+      its value, then the length steps it with [n mod 2^32];
+    - the digest is murmur3's [fmix32 h]: [h lxor (h lsr 16)], times
+      [0x85ebca6b], [lxor] its [lsr 13], times [0xc2b2ae35], [lxor] its
+      [lsr 16], each product mod 2^32.
+
+    Every stage is a bijection in the state it is given, so two strings
+    of one length that differ only inside one 4-byte word of one block,
+    or only in one byte after the last block, have different digests:
+    every single-byte and single-bit change is detected. The lanes are
+    independent, so the hash consumes 16 bytes a step. *)
 
 (** {1 Checksum framing}
 
@@ -147,10 +164,12 @@ val checksum : string -> int
     checksummed vectors use this one layout. A frame announcing any
     other version is rejected with a descriptive
     ["unsupported wire version N"] error — how [synts serve] turns away
-    mismatched clients — rather than a misleading checksum failure. *)
+    mismatched clients, version-2 peers (the same layout with an
+    FNV-1a checksum) among them — rather than a misleading checksum
+    failure. *)
 
 val current_version : int
-(** The version byte of every frame (2). *)
+(** The version byte of every frame (3). *)
 
 val frame : string -> string
 (** Wrap an arbitrary body in a checksum frame. *)
@@ -164,7 +183,7 @@ val unframe : string -> (string, string) result
 (** Validate and strip a frame, returning the body. Total and
     canonical: [unframe s = Ok body] implies [frame body = s]. Errors:
     ["checksum mismatch"] (bit-flip corruption),
-    ["unsupported wire version N (this build speaks 2)"],
+    ["unsupported wire version N (this build speaks 3)"],
     ["truncated checksum frame"], ["empty frame"]. *)
 
 val encode_framed : Vector.t -> string

@@ -66,7 +66,7 @@ type t = {
 
 let of_layout ?(pending_cap = Ingest.Pending.default_cap) ?init
     ?(first_ticket = 0) ~n ~dim ~index () =
-  if n < 0 then invalid_arg "Engine.create: negative process count";
+  if n < 1 then invalid_arg "Engine.create: need at least one process";
   if dim < 1 then invalid_arg "Engine.create: dimension must be >= 1";
   if first_ticket < 0 then invalid_arg "Engine.create: negative first ticket";
   {

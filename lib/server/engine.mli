@@ -52,7 +52,7 @@ val of_layout :
     seeds its home rows with them. [first_ticket]
     (default 0) continues the previous engine's ticket numbering
     ({!next_ticket}) so clients see one monotone ticket space across
-    epochs. [dim < 1], [n < 0] or ill-shaped [init] raise
+    epochs. [dim < 1], [n < 1] or ill-shaped [init] raise
     [Invalid_argument]. *)
 
 val processes : t -> int

@@ -341,13 +341,37 @@ let test_wire_diff_compresses () =
   Alcotest.(check int) "single change costs 3 bytes" 3 (String.length diff)
 
 (* Reference codecs written straight from their definitions: the
-   optimised [Wire] must agree with them byte for byte. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    s;
-  !h
+   optimised [Wire] must agree with them byte for byte. The checksum is
+   the one [wire.mli] defines, one byte at a time: four lanes over the
+   little-endian words of each 16-byte block, folded, then the tail
+   bytes, the length and fmix32, every product taken mod 2^32. *)
+let reference_checksum s =
+  let n = String.length s in
+  let mul a b = a * b land 0xffffffff in
+  let step h w = mul (h lxor w) 0x9e3779b1 in
+  let byte i = Char.code s.[i] in
+  let word i =
+    byte i
+    lor (byte (i + 1) lsl 8)
+    lor (byte (i + 2) lsl 16)
+    lor (byte (i + 3) lsl 24)
+  in
+  let lanes = [| 0x243f6a88; 0x85a308d3; 0x13198a2e; 0x03707344 |] in
+  for b = 0 to (n / 16) - 1 do
+    for j = 0 to 3 do
+      lanes.(j) <- step lanes.(j) (word ((16 * b) + (4 * j)))
+    done
+  done;
+  let h = ref (step (step (step lanes.(0) lanes.(1)) lanes.(2)) lanes.(3)) in
+  for i = n / 16 * 16 to n - 1 do
+    h := step !h (byte i)
+  done;
+  let h = step !h (n land 0xffffffff) in
+  let h = h lxor (h lsr 16) in
+  let h = mul h 0x85ebca6b in
+  let h = h lxor (h lsr 13) in
+  let h = mul h 0xc2b2ae35 in
+  h lxor (h lsr 16)
 
 let leb128 v =
   let b = Buffer.create 10 in
@@ -374,18 +398,57 @@ let any_component =
         map (fun bits -> 1 lsl bits) (int_range 0 61);
       ])
 
+(* Fixed digests: the empty string, one byte and six bytes (all tail,
+   no whole block), and 4 KiB of whole blocks. *)
 let test_checksum_vectors () =
-  (* Published FNV-1a 32-bit test vectors. *)
+  let four_kib =
+    String.init 4096 (fun i -> Char.chr (((i * 7) + (i / 256)) land 0xff))
+  in
   List.iter
-    (fun (s, h) ->
-      Alcotest.(check int) (Printf.sprintf "fnv1a %S" s) h (Wire.checksum s))
-    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ]
+    (fun (name, s, h) ->
+      Alcotest.(check int) (name ^ " reference") h (reference_checksum s);
+      Alcotest.(check int) name h (Wire.checksum s))
+    [
+      ("empty", "", 0x7fcea49c);
+      ("a", "a", 0xe0ff5c9e);
+      ("foobar", "foobar", 0x11d793db);
+      ("4 KiB", four_kib, 0xb91d8fb3);
+    ]
 
+(* Lengths up to 300 with every residue mod 16 drawn equally often, so
+   each tail length meets each block count. *)
 let test_checksum_reference =
-  qtest ~count:300 "checksum matches a reference FNV-1a"
-    QCheck2.Gen.(string_size (int_bound 300))
+  qtest ~count:500 "checksum matches a reference implementation"
+    QCheck2.Gen.(
+      let* tail = int_bound 15 in
+      let* blocks = int_bound ((300 - tail) / 16) in
+      string_size (return ((16 * blocks) + tail)))
     Gen.hex
-    (fun s -> Wire.checksum s = fnv1a s)
+    (fun s -> Wire.checksum s = reference_checksum s)
+
+(* Every single-byte replacement anywhere in a frame — version byte,
+   checksum varint or body — at every position of frames whose bodies
+   are 0 to 40 bytes long, must be refused. *)
+let test_unframe_refuses_byte_changes () =
+  for len = 0 to 40 do
+    let body =
+      String.init len (fun i -> Char.chr (((i * 131) + (len * 17)) land 0xff))
+    in
+    let frame = Wire.frame body in
+    for pos = 0 to String.length frame - 1 do
+      for c = 0 to 255 do
+        if Char.chr c <> frame.[pos] then begin
+          let bad = Bytes.of_string frame in
+          Bytes.set bad pos (Char.chr c);
+          match Wire.unframe (Bytes.to_string bad) with
+          | Error _ -> ()
+          | Ok _ ->
+              Alcotest.failf "body of %d bytes: byte %d set to %02x accepted"
+                len pos c
+        end
+      done
+    done
+  done
 
 let test_encode_reference =
   qtest ~count:300 "encode matches a reference LEB128"
@@ -403,9 +466,9 @@ let test_wire_golden () =
   in
   check "encode" "05007f8001ac02ffffffffffffffff3f"
     (Wire.encode [| 0; 127; 128; 300; max_int |]);
-  (* The frame prefix is the version byte 02; the checksum and the body
-     are those of the earlier codec. *)
-  check "epoch frame" "02c1dfc79005030304008101"
+  (* The header is the version byte 03 and the body's checksum varint;
+     the body is the one the earlier codec wrote. *)
+  check "epoch frame" ("03d7f1bd1c" ^ "030304008101")
     (Wire.encode_epoch_framed ~epoch:3 [| 4; 0; 129 |]);
   check "diff" "02010503c801"
     (Wire.encode_diff ~prev:[| 1; 2; 3; 4 |] [| 1; 5; 3; 200 |])
@@ -455,9 +518,11 @@ let () =
           Alcotest.test_case "rejects malformed" `Quick test_wire_rejects;
           Alcotest.test_case "varint fast-path edges" `Quick test_varint_edges;
           Alcotest.test_case "diff compresses" `Quick test_wire_diff_compresses;
-          Alcotest.test_case "FNV-1a test vectors" `Quick test_checksum_vectors;
+          Alcotest.test_case "checksum vectors" `Quick test_checksum_vectors;
           Alcotest.test_case "golden bytes" `Quick test_wire_golden;
           test_checksum_reference;
+          Alcotest.test_case "unframe refuses every byte change" `Quick
+            test_unframe_refuses_byte_changes;
           test_encode_reference;
           test_decode_total;
           test_decode_epoch_total;

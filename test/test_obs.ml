@@ -231,11 +231,14 @@ let test_response_roundtrip =
       Admin.decode_response (Admin.encode_response resp) = Ok resp)
 
 (* Each admin message in its frame, checked by hand against the layout:
-   the version byte 02, the body's varint FNV-1a checksum, then the
-   body — a tag in 0x20-0x24 and the fields. *)
+   the header — the version byte 03 and the body's varint checksum — then
+   the body, a tag in 0x20-0x24 and the fields. Every body is the hex the
+   version-2 codec wrote: only the header moved when the checksum went
+   from FNV-1a to the four-lane hash. *)
 let golden_admin () =
-  let check label golden body =
-    Alcotest.(check string) label golden (Gen.hex (Wire.frame body))
+  let check label (header, golden) body =
+    Alcotest.(check string) (label ^ " body") golden (Gen.hex body);
+    Alcotest.(check string) label (header ^ golden) (Gen.hex (Wire.frame body))
   in
   List.iter
     (fun (req, golden) ->
@@ -243,10 +246,10 @@ let golden_admin () =
         (Format.asprintf "%a" Admin.pp_request req)
         golden (Admin.encode_request req))
     [
-      (Admin.Health, "02ff9eb2a80220");
-      (Admin.Metrics Admin.Json, "0297d88de60a2101");
-      (Admin.Stats, "02a5a5b2b80222");
-      (Admin.Tracedump, "0292a2b2b00223");
+      (Admin.Health, ("0384a6e2ea0b", "20"));
+      (Admin.Metrics Admin.Json, ("0396f7e0e703", "2101"));
+      (Admin.Stats, ("039df485cb05", "22"));
+      (Admin.Tracedump, ("039b90a1c202", "23"));
     ];
   let conns =
     [
@@ -294,17 +297,18 @@ let golden_admin () =
       (* tag 20, ok 01, backend 06 "online", processes 8002, dimension 08 *)
       ( Admin.Health_r
           { ok = true; backend = "online"; processes = 256; dimension = 8 },
-        "029fbe90b3092001066f6e6c696e65800208" );
+        ("038ee6f3b00d", "2001066f6e6c696e65800208") );
       ( Admin.Metrics_r "server_requests 7\n",
-        "02c586bbcd0921127365727665725f726571756573747320370a" );
+        ("03c293dfe802", "21127365727665725f726571756573747320370a") );
       (* ... the three quantiles, then load 01 c002 8014 ac02, the two
          connection rows, stream 00. *)
       ( stats "online" ~dropped:0
           ~load:(Some { Admin.swept = 320; cells = 2560; stamped = 300 })
           ~stream:None,
-        "02b9b5dc850922066f6e6c696e65020aac0214010000043fd0000000000000"
-        ^ "3ff8000000000000402980000000000001c0028014ac020200c801b40101"
-        ^ "00017878000a00" );
+        ( "03f0f7d8e808",
+          "22066f6e6c696e65020aac0214010000043fd0000000000000"
+          ^ "3ff8000000000000402980000000000001c0028014ac020200c801b40101"
+          ^ "00017878000a00" ) );
       (* ... load 00, the two connection rows, stream 01 and its six
          fields. *)
       ( stats "offline-stream" ~dropped:3 ~load:None
@@ -318,14 +322,16 @@ let golden_admin () =
                  exact = true;
                  repairs = 2;
                }),
-        "02eac280860a220e6f66666c696e652d73747265616d020aac0214010003043f"
-        ^ "d00000000000003ff80000000000004029800000000000000200c801b40101"
-        ^ "00017878000a0103288402030102" );
+        ( "0386e4ea7b",
+          "220e6f66666c696e652d73747265616d020aac0214010003043f"
+          ^ "d00000000000003ff80000000000004029800000000000000200c801b40101"
+          ^ "00017878000a0103288402030102" ) );
       ( Admin.Tracedump_r { dropped = 0; spans = 1; jsonl = "{}\n" },
-        "02a8fbf76f230001037b7d0a" );
+        ("03edb2e468", "230001037b7d0a") );
       ( Admin.Error_r "unknown admin request tag 9",
-        "02ab8c8f940d241b756e6b6e6f776e2061646d696e20726571756573742074"
-        ^ "61672039" );
+        ( "0389dfb0b80c",
+          "241b756e6b6e6f776e2061646d696e20726571756573742074" ^ "61672039"
+        ) );
     ]
 
 (* String lengths and list counts read from the wire are bounded by the

@@ -82,6 +82,64 @@ let test_store_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative dim accepted"
 
+(* [push_merge]'s max is branch-free and exact only over [0, max_int]:
+   draw components at both ends of that range and next to them, where a
+   wrong mask or an overflow would show. *)
+let edge_component =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [ 0; 1; 2; max_int - 1; max_int; max_int / 2; (max_int / 2) + 1 ];
+        int_bound 1000;
+        map (fun x -> x land max_int) int;
+      ])
+
+let test_store_merge_is_max =
+  qtest ~count:500 "push_merge = componentwise max"
+    QCheck2.Gen.(
+      let* dim = int_range 0 70 in
+      pair
+        (array_size (return dim) edge_component)
+        (array_size (return dim) edge_component))
+    (fun (a, b) -> Vector.to_string a ^ " " ^ Vector.to_string b)
+    (fun (a, b) ->
+      let s = Stamp_store.create ~capacity:1 (Array.length a) in
+      let ra = Stamp_store.push s a and rb = Stamp_store.push s b in
+      let m = Stamp_store.push_merge s ~a:ra ~b:rb in
+      let m' = Stamp_store.push_merge s ~a:rb ~b:ra in
+      let expect = Array.map2 max a b in
+      Stamp_store.get s m = expect && Stamp_store.get s m' = expect)
+
+let test_store_refuses_negative () =
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  let s = Stamp_store.create 3 in
+  refused "push of a negative component" (fun () ->
+      Stamp_store.push s [| 0; -1; 2 |]);
+  Alcotest.(check int) "refused push adds no row" 0 (Stamp_store.rows s);
+  let r = Stamp_store.push s [| 0; 1; max_int |] in
+  refused "row_set of a negative component" (fun () ->
+      Stamp_store.row_set s r 1 min_int);
+  refused "row_incr past max_int" (fun () -> Stamp_store.row_incr s r 2);
+  Alcotest.(check (list int)) "refusals leave the row" [ 0; 1; max_int ]
+    (Array.to_list (Stamp_store.get s r));
+  refused "Sync_clock.create ~init with a negative component" (fun () ->
+      Sync_clock.create ~init:[| [| 0; 3 |]; [| -2; 0 |] |] ~n:2 2)
+
+let test_store_blit_onto_itself () =
+  let s = Stamp_store.create 4 in
+  ignore (Stamp_store.push s [| 1; 2; 3; 4 |] : int);
+  let r = Stamp_store.push s [| 9; 0; max_int; 7 |] in
+  Stamp_store.blit_rows s ~src:r ~dst:r;
+  Alcotest.(check (list int)) "row intact" [ 9; 0; max_int; 7 ]
+    (Array.to_list (Stamp_store.get s r));
+  Alcotest.(check (list int)) "neighbour intact" [ 1; 2; 3; 4 ]
+    (Array.to_list (Stamp_store.get s 0))
+
 (* ---------- Sync_clock units ---------- *)
 
 let clock_list k p = Array.to_list (Sync_clock.clock k p)
@@ -381,6 +439,11 @@ let () =
           Alcotest.test_case "blit/truncate/clear" `Quick
             test_store_blit_truncate_clear;
           Alcotest.test_case "bounds" `Quick test_store_bounds;
+          test_store_merge_is_max;
+          Alcotest.test_case "negative components refused" `Quick
+            test_store_refuses_negative;
+          Alcotest.test_case "blit onto itself" `Quick
+            test_store_blit_onto_itself;
         ] );
       ( "sync-clock",
         [

@@ -118,7 +118,9 @@ let test_wire_versioning () =
     (Wire.unframe frame);
   (* Frames of other layouts are turned away with an error naming their
      version, not a checksum complaint: the earlier magic-byte layout
-     ([d7 01], version 0xd7 to this build) and a future version 3. *)
+     ([d7 01], version 0xd7 to this build), version 2 (this envelope with
+     the FNV-1a checksum of the body, as the previous release framed it)
+     and a future version 4. *)
   let refuses name version bad =
     match Wire.unframe bad with
     | Error e ->
@@ -129,7 +131,13 @@ let test_wire_versioning () =
   in
   let rest = String.sub frame 1 (String.length frame - 1) in
   refuses "d7 01 layout" 0xd7 ("\xd7\x01" ^ rest);
-  refuses "version 3" 3 ("\x03" ^ rest)
+  let fnv1a =
+    String.fold_left
+      (fun h c -> (h lxor Char.code c) * 0x01000193 land 0xffffffff)
+      0x811c9dc5
+  in
+  refuses "version 2" 2 ("\x02" ^ Gen.varint (fnv1a body) ^ body);
+  refuses "version 4" 4 ("\x04" ^ rest)
 
 let test_wire_versioned_vectors () =
   let v = [| 3; 0; 7; 12 |] in
@@ -138,16 +146,13 @@ let test_wire_versioned_vectors () =
 
 (* ---------- byte identity and decoder totality ---------- *)
 
-(* One of each request and response in its frame: the version byte 02,
-   the body's varint FNV-1a checksum, then the body. Only the frame
-   prefix moved when the envelope lost its magic byte ([d7 01] became
-   [02]); checksums and bodies are those of the earlier codec, except
-   [Welcome], which lost its [shards] field, and the [Outcomes] and
-   [Resolved] replies, re-recorded when they moved to delta-coded stamps
-   under tags 8 and 9. *)
+(* One of each request and response in its frame, as the header — the
+   version byte 03 and the body's varint checksum — and then the body.
+   Every body is the hex the version-2 codec wrote: only the header
+   moved when the checksum went from FNV-1a to the four-lane hash. *)
 let golden_requests =
   [
-    (Protocol.Hello, "029fbab12800");
+    (Protocol.Hello, "03f2b4c2b50b", "00");
     ( Protocol.Observe
         {
           seq = 300;
@@ -157,25 +162,28 @@ let golden_requests =
               Ingest.Internal { proc = 7 };
             |];
         },
-      "02b099d4eb0601ac0202000382010107" );
-    (Protocol.Drain, "02c5c0b13802");
-    (Protocol.Finish, "02b2bdb13003");
-    (Protocol.Verify, "02d3adb10804");
-    (Protocol.Stats, "02c0aa3105");
+      "03948bf0cb0a",
+      "01ac0202000382010107" );
+    (Protocol.Drain, "03facaa1b20f", "02");
+    (Protocol.Finish, "03e9c4dcf406", "03");
+    (Protocol.Verify, "03a5d8f9df03", "04");
+    (Protocol.Stats, "03dea5e75e", "05");
     ( Protocol.Churn "join:4:4-0,4-2",
-      "02d6e1d5df0c070e6a6f696e3a343a342d302c342d32" );
-    (Protocol.Shutdown, "02f9b3b11806");
+      "0380daebcd08",
+      "070e6a6f696e3a343a342d302c342d32" );
+    (Protocol.Shutdown, "0385d7bea30d", "06");
   ]
 
 let golden_responses =
   [
-    (* version 02, checksum cad4a7a707, tag 00, processes 256 (8002),
-       dimension 8, epoch 1. *)
+    (* tag 00, processes 256 (8002), dimension 8, epoch 1. *)
     ( Protocol.Welcome { processes = 256; dimension = 8; epoch = 1 },
-      "02cad4a7a7070080020801" );
+      "03c5cfeae10d",
+      "0080020801" );
     ( Protocol.Outcomes
         [| Ingest.Stamped [| 0; 1; 127; 128; 16384 |]; Ingest.Deferred 5 |],
-      "02d4e4e883040802000500017f80018080010105" );
+      "03a8a9a6f80b",
+      "0802000500017f80018080010105" );
     (* Later stamps widen, narrow and step down: deltas against the
        stamp before, a shorter one read as zero-padded. *)
     ( Protocol.Outcomes
@@ -185,7 +193,8 @@ let golden_responses =
           Ingest.Stamped [| 2; 200; 1 |];
           Ingest.Stamped [| 2 |];
         |],
-      "02dcfcd9f80c0804000203c80101070003010002000100" );
+      "03f3faa8ba0f",
+      "0804000203c80101070003010002000100" );
     ( Protocol.Resolved
         [
           ( 5,
@@ -203,8 +212,9 @@ let golden_responses =
               counter = 0;
             } );
         ],
-      "0296a79fc90d09020502020102010204d4040106000205d7040000" );
-    (Protocol.Verified { ok = true; checked = 42 }, "02d99ce9cc0c03012a");
+      "03dbd5f83b",
+      "09020502020102010204d4040106000205d7040000" );
+    (Protocol.Verified { ok = true; checked = 42 }, "038af7a19b05", "03012a");
     ( Protocol.Stats_r
         {
           clients = 3;
@@ -214,19 +224,23 @@ let golden_responses =
           dropped = 0;
           pending = 12;
         },
-      "02b8d3eac2070403e80780f403d836000c" );
+      "03d6c8e6fa07",
+      "0403e80780f403d836000c" );
     ( Protocol.Epoch_r { epoch = 2; processes = 5; dimension = 3 },
-      "02d8baf1c10607020503" );
+      "0384ead4c502",
+      "07020503" );
     ( Protocol.Error_r "sequence gap: got 5, expected 3",
-      "0296cbab8302051f73657175656e6365206761703a20676f7420352c20"
+      "03f7b28ab90a",
+      "051f73657175656e6365206761703a20676f7420352c20"
       ^ "65787065637465642033" );
-    (Protocol.Bye, "02f9b3b11806");
+    (Protocol.Bye, "0385d7bea30d", "06");
   ]
 
-let check_golden name encode decode pp (msg, golden) =
+let check_golden name encode decode pp (msg, header, body) =
   let frame = Wire.frame (encode msg) in
   let label = Format.asprintf "%s %a" name pp msg in
-  Alcotest.(check string) label golden (Gen.hex frame);
+  Alcotest.(check string) (label ^ " body") body (Gen.hex (encode msg));
+  Alcotest.(check string) label (header ^ body) (Gen.hex frame);
   match Result.bind (Wire.unframe frame) decode with
   | Ok m when m = msg -> ()
   | _ -> Alcotest.failf "%s: golden frame does not decode back" label
@@ -1406,6 +1420,21 @@ let test_seeded_rows =
         ~count:(Array.length events);
       Wire.contents w = Protocol.encode_response (Protocol.Outcomes expected))
 
+(* An engine needs at least one process: [n = 0] is refused by
+   [of_layout] itself, as its interface says, like a negative count. *)
+let test_engine_layout_bounds () =
+  let index = Decomposition.index_of_edges 0 [] in
+  List.iter
+    (fun n ->
+      match Engine.of_layout ~n ~dim:1 ~index () with
+      | exception Invalid_argument e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n = %d refused by Engine.create" n)
+            true
+            (contains ~sub:"Engine.create:" e)
+      | _ -> Alcotest.failf "an engine of %d processes was built" n)
+    [ 0; -1 ]
+
 (* Internal events through the engine, segment by segment: a Finish or
    an applied churn delta closes a segment, after which every process's
    next internal event has a zero [prev] until it takes part in a
@@ -1498,7 +1527,12 @@ let () =
   Alcotest.run "server"
     [
       ( "engine",
-        [ test_engine_matches_oracle; test_engine_batch_split_invariant ] );
+        [
+          test_engine_matches_oracle;
+          test_engine_batch_split_invariant;
+          Alcotest.test_case "of_layout needs a process" `Quick
+            test_engine_layout_bounds;
+        ] );
       ( "row-path",
         [
           test_row_path_matches_reference;
