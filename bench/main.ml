@@ -455,60 +455,64 @@ let trace_overhead_tests =
       Test.make ~name:"rendezvous-off" (Staged.stage rendezvous);
     ]
 
-(* B17: the serve-path engine — the same ordered 1024-event workload
-   swept in 32-event batches. observe-batch builds a vector per stamp
-   (the in-process sink API); row-path is what the daemon runs per
-   Observe: the sweep into slab rows, the Outcomes reply coded straight
-   from the rows, and its checksum frame. The engines persist across
-   iterations; [finish] at the end of each feed keeps the internal-event
-   stream and resolved queue from growing run over run. *)
+(* B17: the serve-path engine — an ordered 1024-event workload on
+   cs:4x28 (d = 4) in 32-event batches, and on gnp:64:0.3 (d near
+   N - 2, the serve benchmark's bulk-gnp topology) in 64-event
+   batches. observe-batch builds a vector per stamp (the in-process sink
+   API); row-path is what the daemon runs per Observe: the sweep, which
+   writes the Outcomes reply as it stamps, and the reply's checksum
+   frame. The engines persist across iterations; [finish] at the end of
+   each feed keeps the internal-event stream and resolved queue from
+   growing run over run. *)
 let serve_engine_tests =
   let module Ingest = Synts_ingest.Ingest in
   let module Engine = Synts_server.Engine in
-  let module Protocol = Synts_server.Protocol in
   let module Wire = Synts_clock.Wire in
-  let g = Topology.client_server ~servers:4 ~clients:28 in
-  let d = Decomposition.best g in
-  let events =
-    Array.of_list (List.map Ingest.event_of_step (Trace.steps (trace_of g 1024)))
-  in
-  let batches =
-    let n = Array.length events and batch = 32 in
-    let rec cut i acc =
-      if i >= n then List.rev acc
-      else
-        let len = min batch (n - i) in
-        cut (i + len) (Array.sub events i len :: acc)
+  let rows ~suffix g ~batch =
+    let d = Decomposition.best g in
+    let events =
+      Array.of_list
+        (List.map Ingest.event_of_step (Trace.steps (trace_of g 1024)))
     in
-    cut 0 []
-  in
-  let observe_batch =
-    let eng = Engine.create d in
-    fun () ->
-      List.iter (fun b -> ignore (Engine.observe_batch eng b)) batches;
-      ignore (Engine.finish eng)
-  in
-  let row_path =
-    let eng = Engine.create d in
-    let body = Wire.writer 4096 and frame = Wire.writer 4096 in
-    fun () ->
-      List.iter
-        (fun b ->
-          Engine.sweep eng b;
-          Wire.reset body;
-          Protocol.put_outcome_rows body ~rows:(Engine.rows eng)
-            ~dim:(Engine.dimension eng) ~first:(Engine.processes eng)
-            ~tickets:(Engine.tickets eng) ~count:(Array.length b);
-          Wire.reset frame;
-          Wire.put_frame frame body)
-        batches;
-      ignore (Engine.finish eng)
+    let batches =
+      let n = Array.length events in
+      let rec cut i acc =
+        if i >= n then List.rev acc
+        else
+          let len = min batch (n - i) in
+          cut (i + len) (Array.sub events i len :: acc)
+      in
+      cut 0 []
+    in
+    let observe_batch =
+      let eng = Engine.create d in
+      fun () ->
+        List.iter (fun b -> ignore (Engine.observe_batch eng b)) batches;
+        ignore (Engine.finish eng)
+    in
+    let row_path =
+      let eng = Engine.create d in
+      let body = Wire.writer 4096 and frame = Wire.writer 4096 in
+      fun () ->
+        List.iter
+          (fun b ->
+            Wire.reset body;
+            Engine.sweep eng body b;
+            Wire.reset frame;
+            Wire.put_frame frame body)
+          batches;
+        ignore (Engine.finish eng)
+    in
+    [
+      Test.make ~name:("observe-batch" ^ suffix) (Staged.stage observe_batch);
+      Test.make ~name:("row-path" ^ suffix) (Staged.stage row_path);
+    ]
   in
   Test.make_grouped ~name:"serve-engine-1024ev"
-    [
-      Test.make ~name:"observe-batch" (Staged.stage observe_batch);
-      Test.make ~name:"row-path" (Staged.stage row_path);
-    ]
+    (rows ~suffix:"" (Topology.client_server ~servers:4 ~clients:28) ~batch:32
+    @ rows ~suffix:"-gnp:64:0.3"
+        (Topology.gnp (Rng.create seed) 64 0.3)
+        ~batch:64)
 
 (* B18: the model checker's exploration engine — the default N=3
    scenario swept exhaustively with and without DPOR (the dpor row must

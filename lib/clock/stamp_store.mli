@@ -68,8 +68,9 @@ val get : t -> int -> Vector.t
 
 val data : t -> int array
 (** The slab itself: row [r] is words [r * dim t .. r * dim t + dim t - 1].
-    Valid until the next push, which may move the slab; callers that
-    encode rows in place (the serve reply writer) only read it. *)
+    Valid until the next push, which may move the slab. Only the kernel
+    ({!Sync_clock.stamp_home}) writes through it, keeping every
+    component in [0, max_int]; everyone else only reads it. *)
 
 val diff_count : t -> int -> int -> int
 (** Number of components on which the two rows differ (the

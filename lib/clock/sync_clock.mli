@@ -10,13 +10,18 @@
     ([a = src], [b = dst]) and plausible clocks the endpoints' classes.
 
     Rows [0 .. n-1] of the slab are the processes' {e home rows}, and
-    each process has a current row, initially its home row. {!stamp}
-    appends the new stamp as a row and points both endpoints at it, so
-    no clock is ever copied while stamping. Whole-trace sweeps
-    ({!sweep}) never move a row. Streaming callers bound the slab by
-    {e settling}: {!home} copies a process's clock back to its home row,
-    and {!drop_stamps} forgets the stamp rows once every clock is
-    home. *)
+    each process has a current row, initially its home row. The kernel
+    stamps two ways:
+    - {!stamp} appends the new stamp as a row and points both endpoints
+      at it, so no clock is ever copied while stamping. Whole-trace
+      sweeps ({!sweep}) never move a row. Streaming callers bound the
+      slab by {e settling}: {!home} copies a process's clock back to its
+      home row, and {!drop_stamps} forgets the stamp rows once every
+      clock is home.
+    - {!stamp_home} writes the stamp into both endpoints' home rows and
+      codes it into a reply in the same pass over its components, so
+      each component is touched once. The [synts serve] engine stamps
+      this way; its clocks never leave their home rows. *)
 
 type t
 
@@ -29,14 +34,35 @@ val create : ?capacity:int -> ?init:int array array -> n:int -> int -> t
     [init] component raise [Invalid_argument]. *)
 
 val store : t -> Stamp_store.t
-(** The slab. Other rows may be pushed on it between stamps (the engine
-    keeps one row per batch event); they are dropped with the stamp
-    rows. *)
+(** The slab. *)
+
+val top : t -> int
+(** No component the kernel writes exceeds it: the largest seeded
+    component, raised by every bump. A batch of [k] stamps therefore
+    cannot overflow while [top t <= max_int - k], which is how a caller
+    refuses such a batch before stamping any of it. *)
 
 val stamp : t -> src:int -> dst:int -> a:int -> b:int -> int
 (** Append the message's stamp and return its row: the max of the
     endpoints' current rows, plus one on [a] and on [b] when [b <> a].
     Both endpoints then point at the new row. *)
+
+val stamp_home :
+  t -> Wire.writer -> src:int -> dst:int -> a:int -> prev:int -> unit
+(** Fig. 5 in place, coded as it is written: the max of the endpoints'
+    clocks plus one on component [a] becomes both endpoints' clock, in
+    their home rows, and is appended to the writer in the same pass.
+    With [prev < 0] it goes out as a plain vector
+    ({!Wire.put_vector}'s layout); otherwise it is delta-coded
+    ({!Wire.put_delta_vector}'s layout) against home row [prev] as it
+    stood before this call — the reply's previous stamp, which still
+    sits in the home rows of its endpoints; [prev] may be [src] or
+    [dst]. [src], [dst] and [prev] must be at home.
+
+    Raises [Invalid_argument], before changing anything, on an endpoint
+    not at home, a bad component, a bump past [max_int] or a delta of
+    magnitude 2^61 or more ({!Wire.max_delta}). Deltas are checked only
+    once {!top} reaches 2^61; below it none can leave that range. *)
 
 val row : t -> int -> int
 (** Process [p]'s current row. *)

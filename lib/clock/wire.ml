@@ -70,12 +70,11 @@ let[@inline] set_varint buf pos v =
   end
   else set_varint_loop buf pos v
 
-(* [len] components of [a] from [off], after their count: the {!encode}
-   layout of a vector or of one slab row. *)
-let set_vector buf pos a off len =
-  let pos = ref (set_varint buf pos len) in
-  for i = off to off + len - 1 do
-    pos := set_varint buf !pos (Array.unsafe_get a i)
+(* The {!encode} layout of [v]: its length, then its components. *)
+let set_vector buf pos v =
+  let pos = ref (set_varint buf pos (Array.length v)) in
+  for i = 0 to Array.length v - 1 do
+    pos := set_varint buf !pos (Array.unsafe_get v i)
   done;
   !pos
 
@@ -90,6 +89,11 @@ let reserve w need =
     w.buf <- buf
   end
 
+let commit w pos =
+  if pos < w.len || pos > Bytes.length w.buf then
+    invalid_arg "Wire.commit: position outside the reserved room";
+  w.len <- pos
+
 let put_byte w b =
   reserve w 1;
   Bytes.set w.buf w.len (Char.chr b);
@@ -101,17 +105,10 @@ let put_varint w v =
   if w.len + max_varint > Bytes.length w.buf then reserve w (varint_bytes v);
   w.len <- set_varint w.buf w.len v
 
-let check_sub name a off len =
-  if off < 0 || len < 0 || off > Array.length a - len then
-    invalid_arg ("Wire." ^ name ^ ": row out of bounds")
-
-let put_row w a ~off ~len =
-  check_sub "put_row" a off len;
-  if w.len + (max_varint * (len + 1)) > Bytes.length w.buf then
-    reserve w (max_varint * (len + 1));
-  w.len <- set_vector w.buf w.len a off len
-
-let put_vector w v = put_row w v ~off:0 ~len:(Array.length v)
+let put_vector w v =
+  let room = max_varint * (Array.length v + 1) in
+  if w.len + room > Bytes.length w.buf then reserve w room;
+  w.len <- set_vector w.buf w.len v
 
 (* Delta coding: component [i] travels as the zigzag code of
    [v.(i) - prev.(i)] (0, -1, 1, -2 -> 0, 1, 2, 3), with a shorter [prev]
@@ -123,37 +120,31 @@ let max_delta = 1 lsl 61
 (* Raised in place rather than through [invalid_arg], so the delta
    loops make no call. *)
 let delta_out_of_range =
-  Invalid_argument "Wire.put_delta_row: component or delta out of range"
+  Invalid_argument "Wire.put_delta_vector: component or delta out of range"
 
-(* The one delta writer, over slab rows and vectors alike: one loop over
-   the components [prev] covers, one over the zero-padded rest. Zigzag
-   codes of in-range deltas are non-negative, so both loops write with
-   [set_uvarint] and make no call. *)
-let put_delta_row w ~prev ~prev_off ~prev_len a ~off ~len =
-  check_sub "put_delta_row" prev prev_off prev_len;
-  check_sub "put_delta_row" a off len;
+(* One loop over the components [prev] covers, one over the zero-padded
+   rest. Zigzag codes of in-range deltas are non-negative, so both
+   loops write with [set_uvarint] and make no call. *)
+let put_delta_vector w ~prev v =
+  let len = Array.length v in
   if w.len + (max_varint * (len + 1)) > Bytes.length w.buf then
     reserve w (max_varint * (len + 1));
   let buf = w.buf in
   let pos = ref (set_varint buf w.len len) in
-  let overlap = if len < prev_len then len else prev_len in
+  let overlap = if len < Array.length prev then len else Array.length prev in
   for i = 0 to overlap - 1 do
-    let x = Array.unsafe_get a (off + i) in
-    let d = x - Array.unsafe_get prev (prev_off + i) in
+    let x = Array.unsafe_get v i in
+    let d = x - Array.unsafe_get prev i in
     if x < 0 || d >= max_delta || d <= -max_delta then
       raise_notrace delta_out_of_range;
     pos := set_uvarint buf !pos ((d lsl 1) lxor (d asr (Sys.int_size - 1)))
   done;
   for i = overlap to len - 1 do
-    let x = Array.unsafe_get a (off + i) in
+    let x = Array.unsafe_get v i in
     if x < 0 || x >= max_delta then raise_notrace delta_out_of_range;
     pos := set_uvarint buf !pos (x lsl 1)
   done;
   w.len <- !pos
-
-let put_delta_vector w ~prev v =
-  put_delta_row w ~prev ~prev_off:0 ~prev_len:(Array.length prev) v ~off:0
-    ~len:(Array.length v)
 
 let put_string w s =
   let n = String.length s in
@@ -333,7 +324,7 @@ let parse s f =
 
 let encode v =
   let buf = Bytes.create (encoded_bytes v) in
-  ignore (set_vector buf 0 v 0 (Array.length v) : int);
+  ignore (set_vector buf 0 v : int);
   Bytes.unsafe_to_string buf
 
 let decode s = parse s get_vector
@@ -454,7 +445,7 @@ let decode_framed s = Result.bind (unframe s) decode
 let encode_epoch ~epoch v =
   if epoch < 0 then invalid_arg "Wire.encode_epoch: negative epoch";
   let buf = Bytes.create (varint_bytes epoch + encoded_bytes v) in
-  ignore (set_vector buf (set_varint buf 0 epoch) v 0 (Array.length v) : int);
+  ignore (set_vector buf (set_varint buf 0 epoch) v : int);
   Bytes.unsafe_to_string buf
 
 let decode_epoch s =

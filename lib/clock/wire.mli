@@ -39,11 +39,6 @@ val put_varint : writer -> int -> unit
 val put_vector : writer -> Vector.t -> unit
 (** The {!encode} layout: component count, then the components. *)
 
-val put_row : writer -> int array -> off:int -> len:int -> unit
-(** {!put_vector} of the [len] components of [a] from [off] — a stamp
-    held as one row of a slab, written without copying it out. Raises
-    [Invalid_argument] when the row lies outside [a]. *)
-
 val put_delta_vector : writer -> prev:Vector.t -> Vector.t -> unit
 (** [v] coded against the vector [prev] written before it: the component
     count, then each component's delta [v.(i) - prev.(i)] as a zigzag
@@ -51,23 +46,9 @@ val put_delta_vector : writer -> prev:Vector.t -> Vector.t -> unit
     padded with zeros. Neighbouring stamps of one reply differ by far
     less than their values, so most deltas take one byte. Raises
     [Invalid_argument] on a negative component or a delta of magnitude
-    2^61 or more; components are message counts. It is
-    {!put_delta_row} over whole arrays. *)
-
-val put_delta_row :
-  writer ->
-  prev:int array ->
-  prev_off:int ->
-  prev_len:int ->
-  int array ->
-  off:int ->
-  len:int ->
-  unit
-(** The one delta writer: {!put_delta_vector} of the [len] components of
-    [a] from [off] against the [prev_len] components of [prev] from
-    [prev_off], so stamps held as slab rows are coded in place. Raises
-    [Invalid_argument] as {!put_delta_vector} does, or when a row lies
-    outside its array. *)
+    2^61 or more; components are message counts. The stamping kernel
+    writes the same bytes while it stamps
+    ({!Sync_clock.stamp_home}). *)
 
 val put_string : writer -> string -> unit
 (** Varint length, then the bytes. *)
@@ -86,7 +67,25 @@ val reset : writer -> unit
 
 val buffer : writer -> bytes
 (** The backing store: its first {!length} bytes are the contents. Valid
-    until the next write; callers only read it. *)
+    until the next write. Callers read it, or write past {!length} into
+    room they {!reserve}d and then {!commit}. *)
+
+val max_varint : int
+(** The most bytes one varint takes (9). *)
+
+val reserve : writer -> int -> unit
+(** [reserve w n] makes room for [n] more bytes: {!buffer} then holds at
+    least [length w + n] bytes. *)
+
+val commit : writer -> int -> unit
+(** [commit w pos] takes the bytes of {!buffer} below [pos] as written,
+    for a loop that writes varints straight into the buffer — the
+    stamping kernel's, {!Sync_clock.stamp_home}. [pos] must lie between
+    {!length} and the end of the buffer. *)
+
+val max_delta : int
+(** 2^61: a delta-coded component must lie strictly between [-max_delta]
+    and [max_delta] ({!put_delta_vector}). *)
 
 val put_contents : writer -> writer -> unit
 (** [put_contents w src] appends the bytes of [src]. *)

@@ -1,6 +1,6 @@
 module Decomposition = Synts_graph.Decomposition
-module Stamp_store = Synts_clock.Stamp_store
 module Sync_clock = Synts_clock.Sync_clock
+module Wire = Synts_clock.Wire
 module Event_stream = Synts_core.Event_stream
 module Ingest = Synts_ingest.Ingest
 module Tm = Synts_telemetry.Telemetry
@@ -49,13 +49,11 @@ type t = {
   n : int;
   dim : int;
   clocks : Sync_clock.t;
-      (* Rows [0..n-1] of its slab are the processes' home rows, where
-         every clock sits between sweeps; the last batch's event [i] has
-         row [n + i] above them, until the next sweep. *)
-  mutable tickets : int array;
-      (* The last batch's event [i]: its ticket when internal, -1 when a
-         message. During validation it holds each message's group. *)
-  mutable batch : int;  (* events in the last batch *)
+      (* Process [p]'s clock is row [p] of its slab, its home row, and
+         never leaves it. *)
+  mutable groups : int array;
+      (* Validation's scratch: the group of each message of the batch. *)
+  scratch : Wire.writer;  (* [observe_batch]'s reply body, discarded *)
   stats : stats;
   mutable events : Event_stream.t;
   resolved : Ingest.Pending.t;
@@ -73,9 +71,9 @@ let of_layout ?(pending_cap = Ingest.Pending.default_cap) ?init
     index;
     n;
     dim;
-    clocks = Sync_clock.create ~capacity:(max 64 (2 * n)) ?init ~n dim;
-    tickets = Array.make 64 0;
-    batch = 0;
+    clocks = Sync_clock.create ~capacity:n ?init ~n dim;
+    groups = Array.make 64 0;
+    scratch = Wire.writer 256;
     stats = make_stats ();
     events = Event_stream.create ~dimension:dim ~n;
     resolved = Ingest.Pending.create ~cap:pending_cap m_dropped;
@@ -109,18 +107,46 @@ let enqueue t resolved =
       Ingest.Pending.push t.resolved (t.ticket_base + ticket, stamp))
     resolved
 
-(* Endpoint [p] of the message stamped in row [r]; [prev] is the row of
-   its clock before the message, the [prev] of any internal event waiting
-   on it. Vectors are built only then. *)
-let endpoint t p ~prev r =
+(* Endpoint [p]'s clock before the message, copied out only when an
+   internal event waits on it: that event's [prev]. *)
+let prior t p =
   if Event_stream.waiting t.events ~proc:p then
-    let slab = Sync_clock.store t.clocks in
-    enqueue t
-      (Event_stream.record_message t.events ~proc:p
-         ~prev:(Stamp_store.get slab prev) (Stamp_store.get slab r))
-  else Event_stream.pass_message t.events ~proc:p
+    Some (Sync_clock.clock t.clocks p)
+  else None
 
+(* Endpoint [p] after the message: [prior] resolves its waiting
+   events, whose [succ] is the stamp now in its home row. *)
+let endpoint t p = function
+  | Some prev ->
+      enqueue t
+        (Event_stream.record_message t.events ~proc:p ~prev
+           (Sync_clock.clock t.clocks p))
+  | None -> Event_stream.pass_message t.events ~proc:p
+
+(* The batch on a copy of the clocks, the reply coded into a writer that
+   is thrown away: once a component nears 2^61, a stamp's delta against
+   the one before it may leave the range a reply codes. The kernel
+   refuses that stamp before it changes anything, but by then the
+   batch's earlier messages have moved clocks. *)
+let stamp_on_copy t events =
+  let clocks = Sync_clock.create ~init:(process_vectors t) ~n:t.n t.dim in
+  let w = Wire.writer 64 and prev = ref (-1) in
+  Array.iteri
+    (fun i -> function
+      | Ingest.Message { src; dst } ->
+          Sync_clock.stamp_home clocks w ~src ~dst ~a:t.groups.(i) ~prev:!prev;
+          prev := src
+      | Ingest.Internal _ -> ())
+    events
+
+(* Refuse a batch that cannot be stamped whole, before anything changes;
+   returns its message count. Each message raises the largest component
+   by one at most. *)
 let validate t events =
+  let len = Array.length events in
+  if Array.length t.groups < len then
+    t.groups <- Array.make (max len (2 * Array.length t.groups)) 0;
+  let messages = ref 0 in
   Array.iteri
     (fun i ev ->
       match ev with
@@ -135,8 +161,16 @@ let validate t events =
               invalid_arg
                 (Printf.sprintf
                    "Engine: channel (%d, %d) outside the decomposition" src dst)
-          | g -> t.tickets.(i) <- g))
-    events
+          | g ->
+              t.groups.(i) <- g;
+              incr messages))
+    events;
+  let top = Sync_clock.top t.clocks in
+  if top > max_int - !messages then
+    invalid_arg
+      (Printf.sprintf "Engine: component overflow: a clock is at %d" top);
+  if top >= Wire.max_delta - !messages then stamp_on_copy t events;
+  !messages
 
 let flush_stats t len internals =
   let s = t.stats in
@@ -145,64 +179,49 @@ let flush_stats t len internals =
   Tm.Counter.add s.c_messages (len - internals);
   Tm.Counter.add s.c_internal internals
 
-(* Componentwise merge of the endpoints' clocks plus one on the
-   message's group, adopted by both endpoints — Fig. 5, one row per
-   event. Internal events never touch the clocks; they take a zero row so
-   that event [i] keeps row [n + i]. *)
-let sweep t events =
+(* Fig. 5, one kernel pass per message: the componentwise max of the
+   endpoints' clocks plus one on the message's group, written into both
+   home rows and coded into the reply as it is computed. The reply's
+   previous stamp still sits in the home rows of its endpoints, [src]'s
+   among them. Internal events never touch the clocks. *)
+let sweep ?out t w events =
   if t.stopped then invalid_arg "Engine: stopped";
+  let messages = validate t events in
   let len = Array.length events in
-  if Array.length t.tickets < len then
-    t.tickets <- Array.make (max len (2 * Array.length t.tickets)) 0;
-  (* Validate the whole batch up front so a bad event mutates nothing. *)
-  validate t events;
   let clocks = t.clocks in
-  Sync_clock.drop_stamps clocks;
-  t.batch <- len;
+  Protocol.put_outcomes_head w len;
   if len > 0 then begin
     Tm.Counter.incr m_batches;
     Tm.Counter.add m_events len;
-    let internals = ref 0 in
+    let prev = ref (-1) in
     for i = 0 to len - 1 do
       match Array.unsafe_get events i with
       | Ingest.Internal { proc } ->
-          ignore (Stamp_store.push_zero (Sync_clock.store clocks));
-          t.tickets.(i) <-
-            t.ticket_base + Event_stream.record_internal t.events ~proc;
+          let ticket =
+            t.ticket_base + Event_stream.record_internal t.events ~proc
+          in
           t.issued <- t.issued + 1;
-          incr internals
+          Protocol.put_deferred w ticket;
+          (match out with Some f -> f i (Ingest.Deferred ticket) | None -> ())
       | Ingest.Message { src; dst } ->
-          let g = t.tickets.(i) in
-          let prev_src = Sync_clock.row clocks src
-          and prev_dst = Sync_clock.row clocks dst in
-          let r = Sync_clock.stamp clocks ~src ~dst ~a:g ~b:g in
-          endpoint t src ~prev:prev_src r;
-          endpoint t dst ~prev:prev_dst r;
-          t.tickets.(i) <- -1
+          let before_src = prior t src and before_dst = prior t dst in
+          Protocol.put_stamped w;
+          Sync_clock.stamp_home clocks w ~src ~dst ~a:t.groups.(i) ~prev:!prev;
+          prev := src;
+          endpoint t src before_src;
+          endpoint t dst before_dst;
+          match out with
+          | Some f -> f i (Ingest.Stamped (Sync_clock.clock clocks src))
+          | None -> ()
     done;
-    (* Settle: each clock the batch moved goes back to its home row once,
-       however often the batch touched it. The stamp rows stay readable
-       until the next sweep drops them. *)
-    for i = 0 to len - 1 do
-      match Array.unsafe_get events i with
-      | Ingest.Message { src; dst } ->
-          Sync_clock.home clocks src;
-          Sync_clock.home clocks dst
-      | Ingest.Internal _ -> ()
-    done;
-    flush_stats t len !internals
+    flush_stats t len (len - messages)
   end
 
-let rows t = Stamp_store.data (Sync_clock.store t.clocks)
-let tickets t = t.tickets
-let batch_stamp t i = Stamp_store.get (Sync_clock.store t.clocks) (t.n + i)
-
 let observe_batch t events =
-  sweep t events;
-  Array.init t.batch (fun i ->
-      match t.tickets.(i) with
-      | -1 -> Ingest.Stamped (batch_stamp t i)
-      | ticket -> Ingest.Deferred ticket)
+  let outcomes = Array.make (Array.length events) (Ingest.Deferred (-1)) in
+  Wire.reset t.scratch;
+  sweep t t.scratch events ~out:(fun i o -> outcomes.(i) <- o);
+  outcomes
 
 let observe t ev = (observe_batch t [| ev |]).(0)
 

@@ -3,27 +3,27 @@
     An engine conforms to {!Synts_ingest.Ingest.S}, so everything that
     feeds a {!Synts_session.Session} can feed an engine unchanged. It
     stamps on one domain with one {!Synts_clock.Sync_clock} kernel, the
-    one {!Synts_core.Online} also runs on. Rows [0 .. n-1] of its slab
-    are the processes' home rows, where every clock sits between
-    batches, and a batch's event [i] gets row [n + i] above them — the
-    componentwise max of its endpoints' clocks plus one on its edge
-    group, which both endpoints then adopt. After the sweep each clock
-    the batch moved is copied home once, however often it was touched;
-    the next sweep drops the batch's rows. The conformance tests hold
-    the stamps to the packet-faithful {!Synts_core.Edge_clock} protocol
-    ({!Synts_core.Online.timestamp_trace_protocol}), and [--check]
-    replays them through {!Synts_core.Epoch_stamper}; neither runs on
-    the kernel.
+    one {!Synts_core.Online} also runs on. Row [p] of its slab is
+    process [p]'s {e home row}, where its clock always sits. A message's
+    stamp is the componentwise max of its endpoints' clocks plus one on
+    its edge group, which both endpoints then adopt; one kernel pass
+    over the components computes it, writes it into both home rows and
+    codes it into the reply ({!Synts_clock.Sync_clock.stamp_home}), so
+    each component is touched once per message. The conformance tests
+    hold the stamps to the packet-faithful {!Synts_core.Edge_clock}
+    protocol ({!Synts_core.Online.timestamp_trace_protocol}), and
+    [--check] replays them through {!Synts_core.Epoch_stamper}; neither
+    runs on the kernel.
 
-    The serve loop never asks for a vector: it calls {!sweep} and codes
-    the reply straight from {!rows} ({!Protocol.put_outcome_rows}).
-    {!observe_batch} builds vectors from the same rows for in-process
-    callers.
+    The serve loop never asks for a vector: {!sweep} writes the
+    [Outcomes] reply while it stamps. {!observe_batch} runs the same
+    sweep and copies each stamp out as a vector for in-process callers.
 
     Internal events never touch the clocks. They resolve through
-    {!Synts_core.Event_stream} during the sweep, in event order, with
-    [prev] read from the process's clock row; tickets and resolved
-    stamps behave exactly as a session's. *)
+    {!Synts_core.Event_stream} during the sweep, in event order; a
+    process's clock is copied out before a message moves it only when
+    an internal event waits on it, as that event's [prev]. Tickets and
+    resolved stamps behave exactly as a session's. *)
 
 type t
 
@@ -84,25 +84,22 @@ val load : t -> int * int * int
 (** [(events swept, cells written, messages stamped)] since creation —
     the admin channel's load row. *)
 
-(** {1 The row path} *)
+(** {1 The serve path} *)
 
-val sweep : t -> Synts_ingest.Ingest.event array -> unit
-(** Stamp one ordered batch into the slab without building a vector per
-    stamp. Afterwards, until the next sweep, event [i] of the batch is a
-    message stamped with row [processes t + i] of {!rows} when
-    [(tickets t).(i) < 0], and otherwise an internal event deferred under
-    ticket [(tickets t).(i)]. [Message] events outside the layout and
-    internal events on unknown processes raise [Invalid_argument] before
-    any state changes. *)
-
-val rows : t -> int array
-(** The slab, [dimension t] words per row; see {!sweep}. *)
-
-val tickets : t -> int array
-(** The last batch's tickets, [-1] for messages; see {!sweep}. *)
-
-val batch_stamp : t -> int -> Synts_clock.Vector.t
-(** A fresh vector of the last batch's event [i] row. *)
+val sweep :
+  ?out:(int -> Synts_ingest.Ingest.outcome -> unit) ->
+  t ->
+  Synts_clock.Wire.writer ->
+  Synts_ingest.Ingest.event array ->
+  unit
+(** Stamp one ordered batch and append its [Outcomes] reply body
+    ({!Protocol.put_outcomes_head}) to the writer, in one pass per
+    message and without a vector per stamp. [out i o], when given, gets
+    event [i]'s outcome, a stamp as a fresh vector. A batch is refused
+    whole, with [Invalid_argument] before any state changes or any byte
+    is written: a [Message] outside the layout, an internal event on an
+    unknown process, or a batch that could carry a clock component past
+    [max_int] or a stamp delta the reply cannot code. *)
 
 (** {1 Ingestion} *)
 
@@ -111,7 +108,8 @@ val observe : t -> Synts_ingest.Ingest.event -> Synts_ingest.Ingest.outcome
 
 val observe_batch :
   t -> Synts_ingest.Ingest.event array -> Synts_ingest.Ingest.outcome array
-(** {!sweep}, then one outcome per event, in event order. *)
+(** {!sweep} into a scratch writer, collecting one outcome per event, in
+    event order. *)
 
 val drain :
   t -> (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list

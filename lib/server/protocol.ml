@@ -46,8 +46,15 @@ let put_event w = function
       Wire.put_byte w 1;
       Wire.put_varint w proc
 
+(* Sized for an [Observe] of events on processes below 2^14 (a kind
+   byte and two two-byte varints each), so its writer does not grow. *)
 let encode_request r =
-  let w = Wire.writer 16 in
+  let w =
+    Wire.writer
+      (match r with
+      | Observe { events; _ } -> 16 + (5 * Array.length events)
+      | _ -> 16)
+  in
   (match r with
   | Hello -> Wire.put_byte w 0
   | Observe { seq; events } ->
@@ -136,6 +143,20 @@ let outcomes_capacity outcomes =
       + (Array.length outcomes * (2 + (2 * Array.length v)))
   | None -> 8 + (Array.length outcomes * 4)
 
+(* [Outcomes], tag 8: the event count, then per event a kind byte — 0
+   and its stamp, coded as [put_stamp] codes it, or 1 and the ticket
+   it was deferred under. [Engine.sweep] writes it from these pieces,
+   with each stamp coded by the kernel pass that makes it. *)
+let put_outcomes_head w count =
+  Wire.put_byte w 8;
+  Wire.put_varint w count
+
+let put_stamped w = Wire.put_byte w 0
+
+let put_deferred w ticket =
+  Wire.put_byte w 1;
+  Wire.put_varint w ticket
+
 let put_response w r =
   match r with
   | Welcome { processes; dimension; epoch } ->
@@ -144,17 +165,14 @@ let put_response w r =
       Wire.put_varint w dimension;
       Wire.put_varint w epoch
   | Outcomes outcomes ->
-      Wire.put_byte w 8;
-      Wire.put_varint w (Array.length outcomes);
+      put_outcomes_head w (Array.length outcomes);
       let st = stamps () in
       for i = 0 to Array.length outcomes - 1 do
         match outcomes.(i) with
         | Ingest.Stamped v ->
-            Wire.put_byte w 0;
+            put_stamped w;
             put_stamp w st v
-        | Ingest.Deferred ticket ->
-            Wire.put_byte w 1;
-            Wire.put_varint w ticket
+        | Ingest.Deferred ticket -> put_deferred w ticket
       done
   | Resolved resolved ->
       Wire.put_byte w 9;
@@ -201,29 +219,6 @@ let encode_response r =
   in
   put_response w r;
   Wire.contents w
-
-(* The [Outcomes] layout above, with each stamp read from its slab row
-   and delta-coded against the previous stamp's row in place. *)
-let put_outcome_rows w ~rows ~dim ~first ~tickets ~count =
-  Wire.put_byte w 8;
-  Wire.put_varint w count;
-  let last = ref (-1) in
-  for i = 0 to count - 1 do
-    let ticket = tickets.(i) in
-    if ticket < 0 then begin
-      let off = (first + i) * dim in
-      Wire.put_byte w 0;
-      if !last < 0 then Wire.put_row w rows ~off ~len:dim
-      else
-        Wire.put_delta_row w ~prev:rows ~prev_off:!last ~prev_len:dim rows
-          ~off ~len:dim;
-      last := off
-    end
-    else begin
-      Wire.put_byte w 1;
-      Wire.put_varint w ticket
-    end
-  done
 
 let get_outcome r st =
   match Wire.get_byte r with

@@ -65,20 +65,20 @@ val encode_response : response -> string
 val put_response : Synts_clock.Wire.writer -> response -> unit
 (** {!encode_response}, appended to a writer the caller reuses. *)
 
-val put_outcome_rows :
-  Synts_clock.Wire.writer ->
-  rows:int array ->
-  dim:int ->
-  first:int ->
-  tickets:int array ->
-  count:int ->
-  unit
-(** An [Outcomes] reply written straight from stamp rows, as
-    {!Engine.sweep} leaves them: event [i < count] is a message stamped
-    with the [dim] words of [rows] from [(first + i) * dim] when
-    [tickets.(i) < 0], and otherwise an internal event deferred under
-    ticket [tickets.(i)]. The bytes equal {!put_response} of the same
-    outcomes as vectors. *)
+val put_outcomes_head : Synts_clock.Wire.writer -> int -> unit
+(** The head of an [Outcomes] body: tag 8 and the event count. Each
+    event follows in order: {!put_stamped} and then its stamp — the
+    first of the reply as a plain vector, every later one delta-coded
+    against the stamp before it — or {!put_deferred}. {!put_response}
+    writes [Outcomes] this way; {!Engine.sweep} writes the same bytes
+    while it stamps, its kernel coding each stamp in the pass that
+    computes it ({!Synts_clock.Sync_clock.stamp_home}). *)
+
+val put_stamped : Synts_clock.Wire.writer -> unit
+(** The kind byte of a stamped event (0); its stamp follows. *)
+
+val put_deferred : Synts_clock.Wire.writer -> int -> unit
+(** A deferred internal event: kind byte 1, then its ticket. *)
 
 (** The decoders are total: they never raise, and they accept exactly
     the canonical encodings — [decode s = Ok m] implies [encode m = s].

@@ -204,9 +204,9 @@ let telemetry_snapshots t =
      | Online e -> [ Engine.telemetry_snapshot e ]
      | Offline_stream _ -> [])
 
-(* The bookkeeping of an accepted batch; [stamp i] builds the stamp of
-   message [i], asked for only in check mode. *)
-let accept t conn seq events ~stamp =
+(* The bookkeeping of an accepted batch; check mode logs its events and
+   the stamps among [outcomes], which is read only then. *)
+let accept t conn seq events outcomes =
   let messages = ref 0 in
   Array.iter
     (function Ingest.Message _ -> incr messages | Ingest.Internal _ -> ())
@@ -222,9 +222,9 @@ let accept t conn seq events ~stamp =
     Array.iteri
       (fun i ev ->
         t.log <- Ev ev :: t.log;
-        match ev with
-        | Ingest.Message _ -> t.stamped <- stamp i :: t.stamped
-        | Ingest.Internal _ -> ())
+        match outcomes.(i) with
+        | Ingest.Stamped v -> t.stamped <- v :: t.stamped
+        | Ingest.Deferred _ -> ())
       events
 
 let epoch t =
@@ -429,10 +429,7 @@ let handle t conn (req : Protocol.request) : Protocol.response =
       | Fresh -> (
           match timed t (fun () -> Ingest.observe_batch t.sink events) with
           | outcomes ->
-              accept t conn seq events ~stamp:(fun i ->
-                  match outcomes.(i) with
-                  | Ingest.Stamped v -> v
-                  | Ingest.Deferred _ -> assert false);
+              accept t conn seq events outcomes;
               let resp = Protocol.Outcomes outcomes in
               conn.cached <- Some resp;
               Wire.reset conn.frame;
@@ -480,17 +477,19 @@ let cached_frame t conn =
     ignore (frame_into t conn.frame (cached_response conn) : Wire.writer);
   conn.frame
 
-(* A fresh Observe on the engine: sweep into slab rows, then code the
-   reply from the rows into the connection's cache, with no vector per
-   stamp. *)
+(* A fresh Observe on the engine: one sweep stamps the batch and writes
+   its reply body, which is framed into the connection's cache. Only
+   check mode has the sweep copy stamps out, for its log. *)
 let observe_rows t conn e seq events =
-  match timed t (fun () -> Engine.sweep e events) with
+  let outcomes =
+    if t.check then Array.make (Array.length events) (Ingest.Deferred (-1))
+    else [||]
+  in
+  let out = if t.check then Some (fun i o -> outcomes.(i) <- o) else None in
+  Wire.reset t.body;
+  match timed t (fun () -> Engine.sweep ?out e t.body events) with
   | () ->
-      accept t conn seq events ~stamp:(Engine.batch_stamp e);
-      Wire.reset t.body;
-      Protocol.put_outcome_rows t.body ~rows:(Engine.rows e)
-        ~dim:(Engine.dimension e) ~first:(Engine.processes e)
-        ~tickets:(Engine.tickets e) ~count:(Array.length events);
+      accept t conn seq events outcomes;
       conn.cached <- None;
       Wire.reset conn.frame;
       Wire.put_frame conn.frame t.body;
@@ -500,8 +499,8 @@ let observe_rows t conn e seq events =
 (* The byte path: unframe, decode, answer, frame — the reply is left in
    a writer owned by the service or the connection, valid until the
    next request. A replayed Observe gets the cached frame and a fresh
-   one on the engine takes the row path; everything else, refusals
-   included, goes through [handle]. *)
+   one on the engine the one-pass sweep ([observe_rows]); everything
+   else, refusals included, goes through [handle]. *)
 let reply t conn raw =
   t.bye <- false;
   match Wire.unframe raw with

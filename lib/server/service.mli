@@ -7,10 +7,11 @@
     encode, frame, (possibly corrupt), unframe, decode, stamp — without
     opening a socket.
 
-    On the engine, the byte path ({!handle_raw}, {!serve_frame}) codes an
-    [Observe] reply straight from the engine's slab rows
-    ({!Protocol.put_outcome_rows}); no vector is built per stamp. Its
-    frames equal, byte for byte, those of {!handle} followed by
+    On the engine, the byte path ({!handle_raw}, {!serve_frame}) has
+    {!Engine.sweep} write an [Observe] reply while it stamps: each stamp
+    is coded in the one kernel pass that writes it into its endpoints'
+    home rows, and no vector is built per stamp unless [check] logs it.
+    Its frames equal, byte for byte, those of {!handle} followed by
     {!Protocol.encode_response} and {!Synts_clock.Wire.frame}.
 
     {2 At-least-once exactness}

@@ -15,6 +15,7 @@ module Rng = Synts_util.Rng
 module Vector = Synts_clock.Vector
 module Stamp_store = Synts_clock.Stamp_store
 module Sync_clock = Synts_clock.Sync_clock
+module Wire = Synts_clock.Wire
 module Fm_sync = Synts_clock.Fm_sync
 module Sk = Synts_clock.Singhal_kshemkalyani
 module Online = Synts_core.Online
@@ -193,6 +194,115 @@ let test_sync_clock_init () =
   match Sync_clock.create ~init:[| [| 1 |]; [| 1; 2 |] |] ~n:2 1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "init row of the wrong width accepted"
+
+(* [stamp_home] against a model: clocks merged and bumped as vectors,
+   each stamp coded with [Wire.put_vector] or [Wire.put_delta_vector]
+   against the stamp before it, which the kernel reads from the home row
+   of one of that stamp's endpoints, picked at random. Components at
+   [max_int] and near 2^61 make bumps overflow and deltas leave range:
+   the kernel must refuse exactly those, before it changes anything. *)
+let test_stamp_home_model =
+  qtest ~count:500 "stamp_home = merge, bump, code"
+    QCheck2.Gen.(
+      let* n = int_range 2 5 and* dim = int_range 1 5 in
+      let component =
+        frequency
+          [
+            (6, int_bound 40);
+            (1, oneofl [ max_int - 1; max_int; (1 lsl 61) - 2 ]);
+          ]
+      in
+      let step =
+        let* src = int_bound (n - 1)
+        and* off = int_range 1 (n - 1)
+        and* a = int_bound (dim - 1)
+        and* via_dst = bool in
+        return (src, (src + off) mod n, a, via_dst)
+      in
+      pair
+        (array_size (return n) (array_size (return dim) component))
+        (list_size (int_range 1 30) step))
+    (fun (init, steps) ->
+      Printf.sprintf "init [%s] steps [%s]"
+        (String.concat "; " (Array.to_list (Array.map Vector.to_string init)))
+        (String.concat "; "
+           (List.map
+              (fun (s, d, a, v) -> Printf.sprintf "%d>%d@%d%s" s d a
+                  (if v then "/dst" else ""))
+              steps)))
+    (fun (init, steps) ->
+      let n = Array.length init and dim = Array.length init.(0) in
+      let k = Sync_clock.create ~init ~n dim in
+      let model = Array.map Array.copy init in
+      let got = Wire.writer 8 and want = Wire.writer 8 in
+      let clocks_agree () =
+        List.for_all
+          (fun p -> Vector.equal (Sync_clock.clock k p) model.(p))
+          (List.init n Fun.id)
+      in
+      let same () =
+        clocks_agree () && Wire.contents got = Wire.contents want
+      in
+      let last = ref None in
+      let rec go = function
+        | [] ->
+            Array.for_all
+              (Array.for_all (fun x -> x <= Sync_clock.top k))
+              model
+        | (src, dst, a, via_dst) :: rest -> (
+            let prev =
+              match !last with
+              | None -> -1
+              | Some (_, s, d) -> if via_dst then d else s
+            in
+            let stamp () = Sync_clock.stamp_home k got ~src ~dst ~a ~prev in
+            let v = Array.map2 max model.(src) model.(dst) in
+            if v.(a) = max_int then
+              match stamp () with
+              | exception Invalid_argument _ -> same () && go rest
+              | () -> false
+            else begin
+              v.(a) <- v.(a) + 1;
+              match
+                match !last with
+                | None -> Wire.put_vector want v
+                | Some (p, _, _) -> Wire.put_delta_vector want ~prev:p v
+              with
+              | exception Invalid_argument _ -> (
+                  match stamp () with
+                  | exception Invalid_argument _ -> same () && go rest
+                  | () -> false)
+              | () ->
+                  stamp ();
+                  model.(src) <- v;
+                  model.(dst) <- Array.copy v;
+                  last := Some (v, src, dst);
+                  same () && go rest
+            end)
+      in
+      go steps)
+
+let test_stamp_home_refusals () =
+  let k = Sync_clock.create ~n:4 2 in
+  let w = Wire.writer 8 in
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" name
+  in
+  refused "bad component" (fun () ->
+      Sync_clock.stamp_home k w ~src:0 ~dst:1 ~a:2 ~prev:(-1));
+  ignore (Sync_clock.stamp k ~src:0 ~dst:1 ~a:0 ~b:0);
+  refused "src away from home" (fun () ->
+      Sync_clock.stamp_home k w ~src:0 ~dst:2 ~a:0 ~prev:(-1));
+  refused "prev away from home" (fun () ->
+      Sync_clock.stamp_home k w ~src:2 ~dst:3 ~a:0 ~prev:1);
+  Alcotest.(check int) "nothing written" 0 (Wire.length w);
+  Sync_clock.settle k;
+  Sync_clock.stamp_home k w ~src:2 ~dst:1 ~a:1 ~prev:(-1);
+  Alcotest.(check (list int)) "stamped over the settled clock" [ 1; 1 ]
+    (clock_list k 2);
+  Alcotest.(check int) "top follows the bump" 1 (Sync_clock.top k)
 
 (* ---------- kernel equivalence (qcheck) ---------- *)
 
@@ -450,6 +560,9 @@ let () =
           Alcotest.test_case "stamp rule" `Quick test_sync_clock_rule;
           Alcotest.test_case "settle" `Quick test_sync_clock_settle;
           Alcotest.test_case "init" `Quick test_sync_clock_init;
+          test_stamp_home_model;
+          Alcotest.test_case "stamp_home refusals" `Quick
+            test_stamp_home_refusals;
         ] );
       ( "kernel-equivalence",
         [

@@ -1203,7 +1203,7 @@ let test_socket_refusal_causes () =
                 (List.nth after i - List.nth before i))
             names))
 
-(* ---------- the row path ≡ the reference encoder ---------- *)
+(* ---------- the serve path ≡ the reference encoder ---------- *)
 
 module Graph = Synts_graph.Graph
 module Membership = Synts_graph.Membership
@@ -1389,8 +1389,9 @@ let test_row_path_matches_reference =
 
 (* Clocks seeded at or above 2^14 take three-byte varints, and a stamp
    after one of a process seeded at zero has deltas of -2^14 and below:
-   rows coded in place must still equal their vectors' encoding. The
-   reference is the epoch stamper restored to the same clocks. *)
+   the reply the sweep codes as it stamps must still equal its vectors'
+   encoding. The reference is the epoch stamper restored to the same
+   clocks. *)
 let test_seeded_rows =
   qtest ~count:100 "rows of seeded clocks code like their vectors"
     QCheck2.Gen.(triple (int_bound 1) Gen.rng_seed (int_bound 50))
@@ -1413,11 +1414,8 @@ let test_seeded_rows =
       Array.iteri (fun p v -> Epoch_stamper.restore st p (0, v)) init;
       let events = random_batch rng st ~share ~len:64 in
       let expected = reference_outcomes st (ref 0) events in
-      Engine.sweep engine events;
       let w = Wire.writer 16 in
-      Protocol.put_outcome_rows w ~rows:(Engine.rows engine) ~dim
-        ~first:(Engine.processes engine) ~tickets:(Engine.tickets engine)
-        ~count:(Array.length events);
+      Engine.sweep engine w events;
       Wire.contents w = Protocol.encode_response (Protocol.Outcomes expected))
 
 (* An engine needs at least one process: [n = 0] is refused by
@@ -1523,6 +1521,208 @@ let test_internal_segments =
           let by_ticket l = List.sort (fun (a, _) (b, _) -> compare a b) l in
           by_ticket !got = by_ticket !expected))
 
+(* ---------- the fused sweep ---------- *)
+
+let msg src dst = Ingest.Message { src; dst }
+
+let sweep_bytes engine events =
+  let w = Wire.writer 16 in
+  Engine.sweep engine w events;
+  Wire.contents w
+
+let step_of_event = function
+  | Ingest.Message { src; dst } -> Trace.Send (src, dst)
+  | Ingest.Internal { proc } -> Trace.Local proc
+
+(* The [Outcomes] reply a fresh engine owes one batch: the packet-level
+   Fig. 5 oracle's stamps, which share no code with the kernel, and
+   tickets from 0. *)
+let oracle_reply g d events =
+  let trace =
+    Trace.of_steps_exn ~n:(Graph.n g)
+      (Array.to_list (Array.map step_of_event events))
+  in
+  let stamps = Online.timestamp_trace_protocol d trace in
+  let m = ref 0 and ticket = ref 0 in
+  Protocol.encode_response
+    (Protocol.Outcomes
+       (Array.map
+          (function
+            | Ingest.Message _ ->
+                incr m;
+                Ingest.Stamped stamps.(!m - 1)
+            | Ingest.Internal _ ->
+                incr ticket;
+                Ingest.Deferred (!ticket - 1))
+          events))
+
+(* Consecutive messages sharing an endpoint: the reply's previous stamp
+   sits in the home rows the next message overwrites, so the sweep must
+   read each of its components first. On a triangle (one group) the
+   stamps count 1, 2, 3, 4; on complete:4 (two groups) every ordered
+   pair of channels follows every other, in both directions, with
+   internal events between some of them. *)
+let test_shared_endpoints () =
+  let tri = Topology.disjoint_triangles 1 in
+  let d = Decomposition.best tri in
+  let events = [| msg 0 1; msg 1 2; msg 2 0; msg 0 1 |] in
+  Alcotest.(check string)
+    "triangle reply" (Gen.hex (oracle_reply tri d events))
+    (Gen.hex (sweep_bytes (Engine.create d) events));
+  Alcotest.(check (list (list int)))
+    "triangle stamps"
+    [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ]
+    (Array.to_list
+       (Array.map Array.to_list
+          (Ingest.message_stamps
+             (Engine.observe_batch (Engine.create d) events))));
+  let k4 = Topology.complete 4 in
+  let d = Decomposition.best k4 in
+  let channels =
+    List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) (Graph.edges k4)
+  in
+  let events =
+    Array.of_list
+      (List.concat_map
+         (fun (a, b) ->
+           List.concat_map
+             (fun (c, e) ->
+               if (a + c + e) mod 5 = 0 then
+                 [ msg a b; Ingest.Internal { proc = c }; msg c e ]
+               else [ msg a b; msg c e ])
+             channels)
+         channels)
+  in
+  Alcotest.(check int) "complete:4 has two groups" 2 (Decomposition.size d);
+  Alcotest.(check string)
+    "complete:4 reply" (Gen.hex (oracle_reply k4 d events))
+    (Gen.hex (sweep_bytes (Engine.create d) events))
+
+(* An internal event's [prev] is its process's clock before the message
+   that resolves it. The sweep moves that clock in place, so it must copy
+   it out first: here the waiting events of 0 and 1 must get their last
+   stamps, 1 and 2, not the 3 of the message that resolves both. *)
+let test_waiting_prev () =
+  let d = Decomposition.best (Topology.disjoint_triangles 1) in
+  let engine = Engine.create d in
+  ignore
+    (sweep_bytes engine
+       [|
+         msg 0 1;
+         msg 1 2;
+         Ingest.Internal { proc = 0 };
+         Ingest.Internal { proc = 1 };
+         msg 0 1;
+       |]);
+  let show (ticket, (s : Internal_events.stamp)) =
+    Printf.sprintf "ticket %d on %d: prev %s, succ %s" ticket s.proc
+      (Vector.to_string s.prev)
+      (match s.succ with Some v -> Vector.to_string v | None -> "none")
+  in
+  Alcotest.(check (list string))
+    "resolved events"
+    [ "ticket 0 on 0: prev (1), succ (3)"; "ticket 1 on 1: prev (2), succ (3)" ]
+    (List.map show (Engine.drain engine))
+
+(* A --check daemon logs the stamps the fused sweep copies out for it,
+   and the replay through the epoch stamper must agree with all of
+   them. *)
+let test_check_session () =
+  let g = Topology.gnp (Rng.create 5) 16 0.4 in
+  let d = Decomposition.best g in
+  let service = Service.create ~check:true d in
+  let conn = Service.attach service in
+  let rng = Rng.create 11 in
+  let edges = Array.of_list (Graph.edges g) in
+  let messages = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Service.stop service)
+    (fun () ->
+      for seq = 0 to 19 do
+        let events =
+          Array.init 40 (fun _ ->
+              if Rng.int rng 10 = 0 then
+                Ingest.Internal { proc = Rng.int rng (Graph.n g) }
+              else begin
+                incr messages;
+                let u, v = Rng.pick_array rng edges in
+                if Rng.bool rng then msg u v else msg v u
+              end)
+        in
+        let raw = observe_frame seq events in
+        match reply_of (Service.handle_raw service conn raw) with
+        | Protocol.Outcomes _ -> ()
+        | r -> Alcotest.failf "observe got %a" Protocol.pp_response r
+      done;
+      match
+        reply_of
+          (Service.handle_raw service conn
+             (Wire.frame (Protocol.encode_request Protocol.Verify)))
+      with
+      | Protocol.Verified { ok; checked } ->
+          Alcotest.(check bool) "Verified ok" true ok;
+          Alcotest.(check int) "every message checked" !messages checked
+      | r -> Alcotest.failf "verify got %a" Protocol.pp_response r)
+
+(* An engine over one triangle (one group) seeded with process 0's
+   clock at [top]. *)
+let seeded_triangle top =
+  let d = Decomposition.best (Topology.disjoint_triangles 1) in
+  let init = [| [| top |]; [| 0 |]; [| 0 |] |] in
+  ( init,
+    fun () ->
+      Engine.of_layout ~init ~n:3 ~dim:1 ~index:(Decomposition.index d) () )
+
+let refused name sub f =
+  match f () with
+  | exception Invalid_argument e ->
+      Alcotest.(check bool) (name ^ ": " ^ e) true (contains ~sub e)
+  | _ -> Alcotest.failf "%s accepted" name
+
+(* Three messages could lift process 0's clock past [max_int]: the batch
+   is refused before its first message moves 1 and 2, and the engine
+   then stamps as if it never came. *)
+let test_overflow_refused_whole () =
+  let init, make = seeded_triangle (max_int - 1) in
+  let engine = make () and twin = make () in
+  refused "overflowing batch" "component overflow" (fun () ->
+      sweep_bytes engine [| msg 1 2; msg 0 1; msg 0 1 |]);
+  Alcotest.(check (list (list int)))
+    "clocks unmoved"
+    (Array.to_list (Array.map Array.to_list init))
+    (Array.to_list (Array.map Array.to_list (Engine.process_vectors engine)));
+  List.iter
+    (fun events ->
+      Alcotest.(check string)
+        "same reply as an engine that never saw it"
+        (Gen.hex (sweep_bytes twin events))
+        (Gen.hex (sweep_bytes engine events)))
+    [ [| msg 1 2 |]; [| Ingest.Internal { proc = 2 }; msg 0 1 |] ];
+  refused "a message past max_int" "component overflow" (fun () ->
+      sweep_bytes engine [| msg 1 2 |]);
+  ignore (sweep_bytes engine [| Ingest.Internal { proc = 1 } |])
+
+(* Past 2^61 a stamp's delta against the one before it can leave the
+   range a reply codes. Such a batch is refused whole; one whose deltas
+   stay small is stamped and coded as the reference encoder codes it. *)
+let test_delta_range_refused_whole () =
+  let top = (1 lsl 61) + 5 in
+  let init, make = seeded_triangle top in
+  let engine = make () in
+  refused "delta past 2^61" "delta out of range" (fun () ->
+      sweep_bytes engine [| msg 1 2; msg 0 1 |]);
+  Alcotest.(check (list (list int)))
+    "clocks unmoved"
+    (Array.to_list (Array.map Array.to_list init))
+    (Array.to_list (Array.map Array.to_list (Engine.process_vectors engine)));
+  Alcotest.(check string)
+    "small deltas of large clocks"
+    (Gen.hex
+       (Protocol.encode_response
+          (Protocol.Outcomes
+             [| Ingest.Stamped [| top + 1 |]; Ingest.Stamped [| top + 2 |] |])))
+    (Gen.hex (sweep_bytes engine [| msg 0 1; msg 1 2 |]))
+
 let () =
   Alcotest.run "server"
     [
@@ -1532,12 +1732,22 @@ let () =
           test_engine_batch_split_invariant;
           Alcotest.test_case "of_layout needs a process" `Quick
             test_engine_layout_bounds;
+          Alcotest.test_case "overflow refused whole" `Quick
+            test_overflow_refused_whole;
+          Alcotest.test_case "delta past 2^61 refused whole" `Quick
+            test_delta_range_refused_whole;
         ] );
       ( "row-path",
         [
           test_row_path_matches_reference;
           test_seeded_rows;
           test_internal_segments;
+          Alcotest.test_case "messages sharing endpoints" `Quick
+            test_shared_endpoints;
+          Alcotest.test_case "waiting events get the pre-merge clock" `Quick
+            test_waiting_prev;
+          Alcotest.test_case "--check verifies the fused sweep" `Quick
+            test_check_session;
         ] );
       ( "protocol",
         [
